@@ -50,11 +50,13 @@ from .hardy import (
     time_tail_bound,
 )
 from .operators import (
+    BandLimiter,
     GridFunction,
     LimitingOperators,
     LineGrid,
     SumSpectrumReport,
     build_band_limiter,
+    build_band_operator,
     build_limiting_operators,
     build_line_grid,
     build_time_limiter,
@@ -80,10 +82,12 @@ __all__ = [
     "pswf_extend",
     "LineGrid",
     "GridFunction",
+    "BandLimiter",
     "LimitingOperators",
     "SumSpectrumReport",
     "build_line_grid",
     "build_time_limiter",
+    "build_band_operator",
     "build_band_limiter",
     "build_limiting_operators",
     "sum_operator_spectrum",

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -57,11 +58,18 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _float_list(text: str) -> list[float]:
+def _finite_float(text: str) -> float:
     try:
-        values = [float(part) for part in text.split(",") if part.strip() != ""]
+        value = float(text)
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not a comma-separated float list: {text!r}") from exc
+        raise argparse.ArgumentTypeError(f"not a float: {text!r}") from exc
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
+def _float_list(text: str) -> list[float]:
+    values = [_finite_float(part) for part in text.split(",") if part.strip() != ""]
     if not values:
         raise argparse.ArgumentTypeError("empty value list")
     return values
@@ -202,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output path (default: stdout)")
 
     p = sub.add_parser("spectrum", help="leading sinc-kernel eigenvalues at one c")
-    p.add_argument("--c", type=float, default=3.0)
+    p.add_argument("--c", type=_finite_float, default=3.0)
     p.add_argument("--modes", type=int, default=6)
     p.add_argument("--order", type=int, default=None, help="quadrature order (default: auto)")
     p.add_argument("--force", action="store_true", help="accept an under-resolving order")
@@ -215,9 +223,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=cmd_asymptotics)
 
     p = sub.add_parser("sum-spectrum", help="spectrum of chi + S against predictions")
-    p.add_argument("--tau", type=float, default=1.0)
-    p.add_argument("--omega", type=float, default=3.0)
-    p.add_argument("--L", type=float, default=30.0)
+    p.add_argument("--tau", type=_finite_float, default=1.0)
+    p.add_argument("--omega", type=_finite_float, default=3.0)
+    p.add_argument("--L", type=_finite_float, default=30.0)
     p.add_argument("--n", type=int, default=600)
     p.add_argument("--modes", type=int, default=6)
     add_io(p)
@@ -225,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hardy", help="uncertainty chains per omega")
     p.add_argument("--omega", type=_float_list, default=[1.5, 2.0, 2.5])
-    p.add_argument("--M", type=float, default=1.0)
+    p.add_argument("--M", type=_finite_float, default=1.0)
     add_io(p)
     p.set_defaults(run=cmd_hardy)
 

@@ -21,10 +21,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf, erfc
 
 from .core import ProlateSpectrum
-from .operators import GridFunction, LimitingOperators, build_band_limiter
+from .operators import GridFunction, LimitingOperators, build_band_operator
 
 __all__ = [
     "GaussianEnvelope",
@@ -96,7 +95,7 @@ def exact_gaussian_tail(a: float, tau: float) -> float:
         raise ValueError(f"decay rate a must be positive, got {a}")
     if tau < 0:
         raise ValueError(f"tau must be nonnegative, got {tau}")
-    return math.sqrt(math.pi / a) * float(erfc(math.sqrt(a) * tau))
+    return math.sqrt(math.pi / a) * math.erfc(math.sqrt(a) * tau)
 
 
 def envelope_tail_sum(env: GaussianEnvelope, tau: float, omega: float) -> float:
@@ -132,7 +131,7 @@ def quadratic_form(f: GridFunction, ops: LimitingOperators) -> QuadraticFormValu
     u = f.weighted()
     nrm2 = float(np.real(np.conj(u) @ u))
     time_part = nrm2 - float(np.real(np.conj(u) @ (ops.chi * u)))
-    band_part = nrm2 - float(np.real(np.conj(u) @ (ops.S @ u)))
+    band_part = nrm2 - float(np.real(np.conj(u) @ ops.band.matvec(u)))
     return QuadraticFormValue(
         value=time_part + band_part, time_part=time_part, band_part=band_part
     )
@@ -202,12 +201,11 @@ def concentration_beta(f: GridFunction, Omega: float) -> float:
     Uses the band-limiter quadratic form <S_Omega f, f> on the
     function's own grid, which equals the frequency-side integral by the
     projection identity; no second discretization of the transform is
-    introduced.
+    introduced, and S is applied by FFT without forming its matrix.
     """
     _require_unit_norm(f)
-    s = build_band_limiter(f.grid, Omega)
     u = f.weighted()
-    val = float(np.real(np.conj(u) @ (s @ u)))
+    val = float(np.real(np.conj(u) @ build_band_operator(f.grid, Omega).matvec(u)))
     return math.sqrt(max(val, 0.0))
 
 
@@ -320,7 +318,7 @@ def alt_proof_chain(omega: float, M: float, spec: ProlateSpectrum) -> AltProofRe
             f"reference spectrum is at c={spec.c}, chain needs c=omega^2={omega * omega}"
         )
     # alpha of the normalized Gaussian over (-omega, omega), exactly.
-    alpha_sq = float(erf(math.sqrt(2.0) * omega))
+    alpha_sq = math.erf(math.sqrt(2.0) * omega)
     acos_alpha = math.acos(math.sqrt(alpha_sq))
     m_eff = M / (math.pi / 2.0) ** 0.25
     acos_alpha_bound = 2.0 * m_eff / math.sqrt(omega) * math.exp(-(omega**2))

@@ -13,18 +13,25 @@ extension, and shifted modulated Gaussians witness 0 in the spectrum.
 All operator matrices act on weighted samples u = sqrt(w) f, which
 keeps them real symmetric; ``GridFunction`` stores plain samples and
 the conversion happens inside the apply helpers.
+
+The grid's panels all have the same width, so an entry of S depends on
+its row and column panel only through their offset: S is block
+Toeplitz.  ``BandLimiter`` stores one kernel block per offset and
+applies S by FFT in O(n log n); the dense matrix is gathered from the
+blocks only where a dense eigensolve needs it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import (
     NumericalFailure,
     ProlateSpectrum,
-    _symmetric_eigdesc,
     gauss_legendre_rule,
     prolate_spectrum,
     pswf_extend,
@@ -34,10 +41,12 @@ from .core import (
 __all__ = [
     "LineGrid",
     "GridFunction",
+    "BandLimiter",
     "LimitingOperators",
     "SumSpectrumReport",
     "build_line_grid",
     "build_time_limiter",
+    "build_band_operator",
     "build_band_limiter",
     "build_limiting_operators",
     "sum_operator_spectrum",
@@ -62,11 +71,15 @@ class LineGrid:
         Strictly increasing nodes, symmetric about 0.
     weights : ndarray
         Positive quadrature weights summing to 2 * half_width.
+    panel_orders : tuple of int
+        Node count of each equal-width panel, left to right; empty for a
+        grid without that layout, on which no band limiter can be built.
     """
 
     half_width: float
     points: np.ndarray
     weights: np.ndarray
+    panel_orders: tuple[int, ...] = ()
 
     @property
     def size(self) -> int:
@@ -163,10 +176,11 @@ def build_line_grid(L: float, n: int) -> LineGrid:
     if n < 2:
         raise ValueError(f"need at least 2 grid points, got {n}")
     orders = _panel_orders(n)
+    rules = {order: gauss_legendre_rule(order) for order in set(orders)}
     edges = np.linspace(-L, L, len(orders) + 1)
     points, weights = [], []
     for order, lo, hi in zip(orders, edges[:-1], edges[1:]):
-        rule = gauss_legendre_rule(order)
+        rule = rules[order]
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
         points.append(mid + half * rule.nodes)
         weights.append(half * rule.weights)
@@ -174,6 +188,7 @@ def build_line_grid(L: float, n: int) -> LineGrid:
         half_width=float(L),
         points=np.concatenate(points),
         weights=np.concatenate(weights),
+        panel_orders=tuple(orders),
     )
 
 
@@ -197,19 +212,70 @@ def build_time_limiter(grid: LineGrid, tau: float) -> np.ndarray:
     return (np.abs(grid.points) < tau).astype(float)
 
 
-def build_band_limiter(grid: LineGrid, omega: float) -> np.ndarray:
-    """Weighted sinc-kernel matrix of the band limiter S_omega.
+@dataclass(frozen=True, eq=False)
+class BandLimiter:
+    """The band limiter S_omega on an equal-panel grid, stored by panel offset.
 
-    S[i, j] = sqrt(w_i) k_omega(x_i, x_j) sqrt(w_j), acting on weighted
-    samples.  The matrix is symmetric with eigenvalues in [0, 1] up to
-    roundoff; it is a projection only up to domain truncation, whose
-    plunge modes contribute an O(1) idempotency defect ||S^2 - S||.
+    S[i, j] = sqrt(w_i) k_omega(x_i - x_j) sqrt(w_j) depends on the panels
+    a, b of rows i and j only through a - b, so S is block Toeplitz with
+    one kernel block B_(a-b) per offset.  Each node is a slot of its
+    panel: the slots are the nodes of every distinct panel order (at most
+    two), and a panel leaves the slots of the other order empty.  The
+    layout is then exactly block Toeplitz on mixed-order grids too.
+
+    Attributes
+    ----------
+    omega : float
+    blocks : ndarray, shape (2m - 1, p, p)
+        ``blocks[m - 1 + d]`` is B_d for panel offsets d = 1-m, ..., m-1,
+        with B_(-d) the exact transpose of B_d.
+    spectrum : ndarray, shape (m + 1, p, p)
+        Real FFT, along the offset axis, of the blocks embedded in a
+        circulant of period 2m; applies S by circular convolution.
+    panel, slot : ndarray of int
+        Panel and slot of every grid node.
+    """
+
+    omega: float
+    blocks: np.ndarray
+    spectrum: np.ndarray
+    panel: np.ndarray
+    slot: np.ndarray
+
+    def matvec(self, u: np.ndarray) -> np.ndarray:
+        """S u for real or complex weighted samples u, in O(n log n)."""
+        u = np.asarray(u)
+        if u.shape != self.panel.shape:
+            raise ValueError(f"vector shape {u.shape} does not match grid size {self.panel.size}")
+        m, p = self.spectrum.shape[0] - 1, self.spectrum.shape[1]
+        parts = (u.real, u.imag) if np.iscomplexobj(u) else (u,)
+        x = np.zeros((m, p, len(parts)))
+        x[self.panel, self.slot] = np.stack(parts, axis=-1)
+        y = np.fft.irfft(self.spectrum @ np.fft.rfft(x, n=2 * m, axis=0), n=2 * m, axis=0)
+        y = y[self.panel, self.slot]
+        return y[:, 0] + 1j * y[:, 1] if len(parts) == 2 else y[:, 0]
+
+    def dense(self) -> np.ndarray:
+        """A new dense n x n copy of S, gathered from the blocks (exactly symmetric)."""
+        m = self.spectrum.shape[0] - 1
+        # by_offset[a, s, t, b] = B_(a-b)[s, t], a strided view of the blocks.
+        by_offset = sliding_window_view(self.blocks, m, axis=0)[..., ::-1]
+        return by_offset[self.panel[:, None], self.slot[:, None], self.slot[None, :], self.panel[None, :]]
+
+
+def build_band_operator(grid: LineGrid, omega: float) -> BandLimiter:
+    """Kernel blocks of the band limiter S_omega on ``grid``.
+
+    Evaluates m * p^2 kernel values for m panels of at most p slots,
+    instead of the n^2 of a dense assembly.
 
     Raises
     ------
     ValueError
-        If the sampling adequacy condition max_spacing * omega < 1
-        fails (the kernel oscillation would be under-resolved).
+        If omega <= 0, if the sampling adequacy condition
+        max_spacing * omega < 1 fails (the kernel oscillation would be
+        under-resolved), or if the grid lacks the equal-panel layout of
+        ``build_line_grid``.
     """
     if omega <= 0:
         raise ValueError(f"omega must be positive, got {omega}")
@@ -219,50 +285,107 @@ def build_band_limiter(grid: LineGrid, omega: float) -> np.ndarray:
             f"grid too coarse for omega={omega}: max spacing h={h:.4g} "
             f"gives h*omega={h * omega:.4g} >= 1"
         )
-    sq = np.sqrt(grid.weights)
-    s = sq[:, None] * sinc_kernel(omega, grid.points[:, None], grid.points[None, :]) * sq[None, :]
-    return 0.5 * (s + s.T)
+    orders = np.asarray(grid.panel_orders, dtype=int)
+    if orders.sum() != grid.size:
+        raise ValueError("the band limiter needs a grid with the panel layout of build_line_grid")
+    m = orders.size
+    distinct = sorted(set(grid.panel_orders))
+    rules = [gauss_legendre_rule(order) for order in distinct]
+    first_slots = np.cumsum([0] + distinct[:-1])
+    slots_of = {order: first + np.arange(order) for order, first in zip(distinct, first_slots)}
+    panel = np.repeat(np.arange(m), orders)
+    slot = np.concatenate([slots_of[order] for order in grid.panel_orders])
+
+    half = grid.half_width / m
+    offsets = half * np.concatenate([rule.nodes for rule in rules])
+    sq = np.sqrt(half * np.concatenate([rule.weights for rule in rules]))
+    gap = 2.0 * half * np.arange(m)[:, None, None] + offsets[:, None] - offsets[None, :]
+    ahead = sq[:, None] * sinc_kernel(omega, gap, 0.0) * sq[None, :]  # B_0, ..., B_(m-1)
+    ahead[0] = 0.5 * (ahead[0] + ahead[0].T)
+    behind = ahead[:0:-1].transpose(0, 2, 1)  # B_(1-m), ..., B_(-1)
+    p = offsets.size
+    circulant = np.concatenate([ahead, np.zeros((1, p, p)), behind])
+    return BandLimiter(
+        omega=float(omega),
+        blocks=np.concatenate([behind, ahead]),
+        spectrum=np.fft.rfft(circulant, axis=0),
+        panel=panel,
+        slot=slot,
+    )
+
+
+def build_band_limiter(grid: LineGrid, omega: float) -> np.ndarray:
+    """Weighted sinc-kernel matrix of the band limiter S_omega.
+
+    S[i, j] = sqrt(w_i) k_omega(x_i, x_j) sqrt(w_j), acting on weighted
+    samples.  The matrix is exactly symmetric with eigenvalues in [0, 1]
+    up to roundoff; it is a projection only up to domain truncation,
+    whose plunge modes contribute an O(1) idempotency defect ||S^2 - S||.
+    It is gathered from the kernel blocks of ``build_band_operator``,
+    which applies S without forming this matrix.
+
+    Raises
+    ------
+    ValueError
+        As ``build_band_operator``.
+    """
+    return build_band_operator(grid, omega).dense()
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(eq=False)
 class LimitingOperators:
-    """The matrices chi, S and T = chi + S on one grid.
+    """The operators chi, S and T = chi + S on one grid.
 
-    ``chi`` is stored as the diagonal 0/1 vector; ``S`` and ``T`` act on
-    weighted samples u = sqrt(w) f.
+    ``chi`` is stored as the diagonal 0/1 vector and S as its kernel
+    blocks (``band``); both act on weighted samples u = sqrt(w) f.  The
+    dense matrices ``S`` and ``T`` are read-only, built on first access
+    and kept.
     """
 
     grid: LineGrid
     tau: float
     omega: float
     chi: np.ndarray
-    S: np.ndarray
-    T: np.ndarray
+    band: BandLimiter
 
     @property
     def c(self) -> float:
         """Time-bandwidth parameter omega * tau of the sum operator."""
         return self.omega * self.tau
 
+    @cached_property
+    def S(self) -> np.ndarray:
+        return _read_only(self.band.dense())
+
+    @cached_property
+    def T(self) -> np.ndarray:
+        t = self.band.dense()
+        t[np.diag_indices_from(t)] += self.chi
+        return _read_only(t)
+
     def apply_chi(self, f: GridFunction) -> GridFunction:
         return GridFunction(grid=f.grid, values=self.chi * f.values)
 
     def apply_S(self, f: GridFunction) -> GridFunction:
         sq = np.sqrt(self.grid.weights)
-        return GridFunction(grid=f.grid, values=(self.S @ f.weighted()) / sq)
+        return GridFunction(grid=f.grid, values=self.band.matvec(f.weighted()) / sq)
 
     def apply_T(self, f: GridFunction) -> GridFunction:
         sq = np.sqrt(self.grid.weights)
         u = f.weighted()
-        return GridFunction(grid=f.grid, values=(self.chi * u + self.S @ u) / sq)
+        return GridFunction(grid=f.grid, values=(self.chi * u + self.band.matvec(u)) / sq)
 
 
 def build_limiting_operators(grid: LineGrid, tau: float, omega: float) -> LimitingOperators:
-    """Assemble chi, S and T = chi + S on ``grid``."""
+    """Set up chi, S and T = chi + S on ``grid``; no n x n matrix is formed."""
     chi = build_time_limiter(grid, tau)
-    s = build_band_limiter(grid, omega)
-    t = np.diag(chi) + s
-    return LimitingOperators(grid=grid, tau=tau, omega=omega, chi=chi, S=s, T=t)
+    band = build_band_operator(grid, omega)
+    return LimitingOperators(grid=grid, tau=tau, omega=omega, chi=chi, band=band)
 
 
 @dataclass(eq=False)
@@ -341,7 +464,13 @@ def sum_operator_spectrum(
     if spec.n_modes < n_report:
         raise ValueError(f"reference spectrum has {spec.n_modes} modes, need {n_report}")
 
-    evals = _symmetric_eigdesc(ops.T)[0]
+    try:
+        evals = np.linalg.eigvalsh(ops.T)[::-1]
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure(
+            f"symmetric eigensolver failed for matrix order {ops.grid.size}",
+            order=ops.grid.size,
+        ) from exc
     roots = np.sqrt(spec.eigenvalues[:n_report])
     predicted_above = 1.0 + roots  # descending
     predicted_below = np.sort(1.0 - roots)[::-1]  # descending
@@ -414,7 +543,7 @@ def eigenfunction_witness(
     inside = ops.chi > 0.5
     f = np.where(inside, lam * ext, (lam - 1.0) * ext)
     u = np.sqrt(ops.grid.weights) * f
-    resid = ops.chi * u + ops.S @ u - lam * u
+    resid = ops.chi * u + ops.band.matvec(u) - lam * u
     return float(np.linalg.norm(resid) / np.linalg.norm(u))
 
 
@@ -454,7 +583,7 @@ def zero_spectrum_witness(ops: LimitingOperators, n: int) -> float:
             "the grid under-resolves the shifted bump",
             order=ops.grid.size,
         )
-    t_u = ops.chi * u + ops.S @ u
+    t_u = ops.chi * u + ops.band.matvec(u)
     return float(np.linalg.norm(t_u) / norm_n)
 
 

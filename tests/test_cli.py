@@ -152,6 +152,27 @@ def test_invalid_arguments_exit_2(capsys):
     assert run_cli(["spectrum", "--modes", "0"], capsys)[0] == 2
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["spectrum", "--c", "inf"],
+        ["spectrum", "--c", "nan"],
+        ["hardy", "--omega", "inf"],
+        ["hardy", "--omega", "1.5,nan"],
+        ["hardy", "--M", "nan"],
+        ["sum-spectrum", "--tau", "nan"],
+    ],
+    ids=" ".join,
+)
+def test_non_finite_arguments_rejected_by_parser(args, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be a finite number" in captured.err
+
+
 def test_error_messages_go_to_stderr(capsys):
     code, out, err = run_cli(["spectrum", "--c", "-1"], capsys)
     assert code == 2

@@ -2,6 +2,7 @@
 and contradiction chains of the uncertainty-principle verifier."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -265,6 +266,36 @@ def test_beta_saturates_for_wide_band():
     grid = P.build_line_grid(8.0, 2500)
     f = P.GridFunction.from_callable(grid, lambda x: np.exp(-(x**2))).normalized()
     assert abs(P.concentration_beta(f, 50.0) - 1.0) < 1e-6
+
+
+@pytest.mark.parametrize("Omega", [1.0, 3.0, 5.0])
+def test_beta_matches_dense_quadratic_form(unit_gauss, masked_top_mode, Omega):
+    for f in (unit_gauss, masked_top_mode):
+        u = f.weighted()
+        dense = P.build_band_limiter(f.grid, Omega)
+        expected = math.sqrt(float(np.vdot(u, dense @ u).real))
+        assert P.concentration_beta(f, Omega) == pytest.approx(expected, abs=1e-13)
+
+
+def test_chains_allocate_no_dense_matrix():
+    # The quadratic form and beta apply S by FFT: their peak allocation
+    # stays far below one n x n matrix, which the dense S does reach.
+    n = 2400
+    grid = P.build_line_grid(24.0, n)
+    f = P.GridFunction.from_callable(grid, lambda x: np.exp(-(x**2))).normalized()
+    tracemalloc.start()
+    try:
+        ops = P.build_limiting_operators(grid, 2.0, 2.0)
+        P.quadratic_form(f, ops)
+        P.concentration_beta(f, 3.0)
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        ops.S
+        _, dense_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n * n / 4
+    assert dense_peak >= 8 * n * n
 
 
 def test_beta_rejects_non_unit_function(gauss_grid):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import prolate as P
-from prolate.core import NumericalFailure
+from prolate.core import NumericalFailure, gauss_legendre_rule, sinc_kernel
 
 # Idempotency defect of the truncated band limiter.  The domain cutoff
 # turns the plunge modes of the projection into eigenvalues near 1/2, so
@@ -56,6 +56,25 @@ def test_grid_invariants(L, n):
 @pytest.mark.parametrize("n", [2, 3, 7, 13, 22, 23, 600, 601])
 def test_grid_node_count_exact(n):
     assert P.build_line_grid(4.0, n).size == n
+
+
+@pytest.mark.parametrize("L,n", [(1.0, 7), (4.0, 23), (30.0, 600), (12.5, 601)])
+def test_grid_panel_layout_matches_per_panel_rules(L, n):
+    # Equal-width panels, at most two orders one apart, mirrored about 0;
+    # points and weights are bit-identical to one Gauss rule per panel.
+    grid = P.build_line_grid(L, n)
+    orders = grid.panel_orders
+    assert sum(orders) == n
+    assert orders == orders[::-1]
+    assert max(orders) - min(orders) <= 1
+    edges = np.linspace(-L, L, len(orders) + 1)
+    points, weights = [], []
+    for order, lo, hi in zip(orders, edges[:-1], edges[1:]):
+        rule = gauss_legendre_rule(order)
+        points.append(0.5 * (lo + hi) + 0.5 * (hi - lo) * rule.nodes)
+        weights.append(0.5 * (hi - lo) * rule.weights)
+    assert np.array_equal(grid.points, np.concatenate(points))
+    assert np.array_equal(grid.weights, np.concatenate(weights))
 
 
 def test_grid_density_resolves_band(grid600):
@@ -191,6 +210,57 @@ def test_band_limiter_rejects_nonpositive_bandwidth(grid600):
         P.build_band_limiter(grid600, 0.0)
     with pytest.raises(ValueError):
         P.build_band_limiter(grid600, -3.0)
+
+
+def dense_sinc_oracle(grid, omega):
+    sq = np.sqrt(grid.weights)
+    return sq[:, None] * sinc_kernel(omega, grid.points[:, None], grid.points[None, :]) * sq[None, :]
+
+
+@pytest.mark.parametrize(
+    "L,n,omega",
+    [(30.0, 600, 3.0), (60.0, 1200, 3.0), (1.0, 7, 2.0), (4.0, 23, 1.0), (12.5, 601, 3.0)],
+)
+def test_band_matvec_matches_dense_oracle(L, n, omega):
+    # Uniform panel orders (600, 1200), one panel (7) and mixed orders
+    # (23, 601), on real and complex vectors.
+    grid = P.build_line_grid(L, n)
+    band = P.build_band_operator(grid, omega)
+    oracle = dense_sinc_oracle(grid, omega)
+    rng = np.random.default_rng(n)
+    real = rng.standard_normal(n)
+    for u in (real, real + 1j * rng.standard_normal(n)):
+        expected = oracle @ u
+        got = band.matvec(u)
+        assert np.iscomplexobj(got) == np.iscomplexobj(u)
+        assert np.linalg.norm(got - expected) <= 1e-13 * np.linalg.norm(expected)
+
+
+def test_band_limiter_gathered_exactly_symmetric_on_mixed_orders():
+    grid = P.build_line_grid(12.5, 601)
+    assert len(set(grid.panel_orders)) == 2
+    s = P.build_band_limiter(grid, 3.0)
+    assert np.array_equal(s, s.T)
+    oracle = dense_sinc_oracle(grid, 3.0)
+    assert np.abs(s - oracle).max() <= 1e-13 * np.abs(oracle).max()
+
+
+def test_dense_views_are_read_only_and_consistent(ops600):
+    s, t = ops600.S, ops600.T
+    assert ops600.S is s
+    assert not s.flags.writeable and not t.flags.writeable
+    assert np.array_equal(t, s + np.diag(ops600.chi))
+
+
+def test_band_operator_needs_panel_layout():
+    grid = P.LineGrid(
+        half_width=2.0, points=np.linspace(-1.5, 1.5, 7), weights=np.full(7, 4.0 / 7)
+    )
+    with pytest.raises(ValueError, match="panel layout"):
+        P.build_band_operator(grid, 1.0)
+    band = P.build_band_operator(P.build_line_grid(2.0, 7), 1.0)
+    with pytest.raises(ValueError, match="grid size"):
+        band.matvec(np.ones(6))
 
 
 def test_projector_check_identity_and_shape_guard():
