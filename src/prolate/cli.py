@@ -116,9 +116,7 @@ def cmd_asymptotics(args) -> tuple[list[str], list[list], str]:
 def cmd_sum_spectrum(args) -> tuple[list[str], list[list], str]:
     grid = build_line_grid(args.L, args.n)
     ops = build_limiting_operators(grid, args.tau, args.omega)
-    c = args.tau * args.omega
-    spec = prolate_spectrum(c, args.modes, order=max(120, min_quadrature_order(c)))
-    report = sum_operator_spectrum(ops, args.modes, spec=spec)
+    report = sum_operator_spectrum(ops, args.modes)
     rows = []
     for k in range(args.modes):
         rows.append(

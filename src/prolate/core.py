@@ -14,6 +14,7 @@ off the interval through the kernel integral.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -123,8 +124,12 @@ class ProlateSpectrum:
         return self.modes[n]
 
 
+@functools.cache
 def gauss_legendre_rule(order: int) -> QuadratureRule:
     """Gauss-Legendre rule with ``order`` nodes on (-1, 1).
+
+    Rules are computed once per order and shared, so their nodes and
+    weights are read-only.
 
     Parameters
     ----------
@@ -138,6 +143,8 @@ def gauss_legendre_rule(order: int) -> QuadratureRule:
     if order < 1:
         raise ValueError(f"quadrature order must be >= 1, got {order}")
     nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
     return QuadratureRule(order=order, nodes=nodes, weights=weights)
 
 
@@ -175,10 +182,13 @@ def sinc_kernel(c: float, x, y):
 
 
 def nystrom_matrix(c: float, nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Symmetrized Nystrom matrix W^(1/2) K W^(1/2) for the sinc kernel."""
+    """Nystrom matrix W^(1/2) K W^(1/2) for the sinc kernel.
+
+    Exactly symmetric: the kernel is, and sqrt(w_i) sqrt(w_j) is one
+    product for both (i, j) and (j, i).
+    """
     sq = np.sqrt(weights)
-    a = sq[:, None] * sinc_kernel(c, nodes[:, None], nodes[None, :]) * sq[None, :]
-    return 0.5 * (a + a.T)
+    return np.outer(sq, sq) * sinc_kernel(c, nodes[:, None], nodes[None, :])
 
 
 def min_quadrature_order(c: float) -> int:

@@ -36,6 +36,7 @@ __all__ = [
     "envelope_tail_sum",
     "quadratic_form",
     "min_eig_lower_bound",
+    "HardyMargin",
     "hardy_margin",
     "concentration_alpha",
     "concentration_beta",

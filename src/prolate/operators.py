@@ -24,7 +24,6 @@ blocks only where a dense eigensolve needs it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -33,6 +32,7 @@ from .core import (
     NumericalFailure,
     ProlateSpectrum,
     gauss_legendre_rule,
+    min_quadrature_order,
     prolate_spectrum,
     pswf_extend,
     sinc_kernel,
@@ -47,7 +47,6 @@ __all__ = [
     "build_line_grid",
     "build_time_limiter",
     "build_band_operator",
-    "build_band_limiter",
     "build_limiting_operators",
     "sum_operator_spectrum",
     "eigenfunction_witness",
@@ -176,11 +175,10 @@ def build_line_grid(L: float, n: int) -> LineGrid:
     if n < 2:
         raise ValueError(f"need at least 2 grid points, got {n}")
     orders = _panel_orders(n)
-    rules = {order: gauss_legendre_rule(order) for order in set(orders)}
     edges = np.linspace(-L, L, len(orders) + 1)
     points, weights = [], []
     for order, lo, hi in zip(orders, edges[:-1], edges[1:]):
-        rule = rules[order]
+        rule = gauss_legendre_rule(order)
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
         points.append(mid + half * rule.nodes)
         weights.append(half * rule.weights)
@@ -256,7 +254,12 @@ class BandLimiter:
         return y[:, 0] + 1j * y[:, 1] if len(parts) == 2 else y[:, 0]
 
     def dense(self) -> np.ndarray:
-        """A new dense n x n copy of S, gathered from the blocks (exactly symmetric)."""
+        """A new dense n x n copy of S, gathered from the blocks.
+
+        The matrix is exactly symmetric with eigenvalues in [0, 1] up to
+        roundoff; it is a projection only up to domain truncation, whose
+        plunge modes contribute an O(1) idempotency defect ||S^2 - S||.
+        """
         m = self.spectrum.shape[0] - 1
         # by_offset[a, s, t, b] = B_(a-b)[s, t], a strided view of the blocks.
         by_offset = sliding_window_view(self.blocks, m, axis=0)[..., ::-1]
@@ -300,8 +303,8 @@ def build_band_operator(grid: LineGrid, omega: float) -> BandLimiter:
     offsets = half * np.concatenate([rule.nodes for rule in rules])
     sq = np.sqrt(half * np.concatenate([rule.weights for rule in rules]))
     gap = 2.0 * half * np.arange(m)[:, None, None] + offsets[:, None] - offsets[None, :]
-    ahead = sq[:, None] * sinc_kernel(omega, gap, 0.0) * sq[None, :]  # B_0, ..., B_(m-1)
-    ahead[0] = 0.5 * (ahead[0] + ahead[0].T)
+    # sq_s sq_t is one product for both (s, t) and (t, s), so B_0 is exactly symmetric.
+    ahead = np.outer(sq, sq) * sinc_kernel(omega, gap, 0.0)  # B_0, ..., B_(m-1)
     behind = ahead[:0:-1].transpose(0, 2, 1)  # B_(1-m), ..., B_(-1)
     p = offsets.size
     circulant = np.concatenate([ahead, np.zeros((1, p, p)), behind])
@@ -314,37 +317,12 @@ def build_band_operator(grid: LineGrid, omega: float) -> BandLimiter:
     )
 
 
-def build_band_limiter(grid: LineGrid, omega: float) -> np.ndarray:
-    """Weighted sinc-kernel matrix of the band limiter S_omega.
-
-    S[i, j] = sqrt(w_i) k_omega(x_i, x_j) sqrt(w_j), acting on weighted
-    samples.  The matrix is exactly symmetric with eigenvalues in [0, 1]
-    up to roundoff; it is a projection only up to domain truncation,
-    whose plunge modes contribute an O(1) idempotency defect ||S^2 - S||.
-    It is gathered from the kernel blocks of ``build_band_operator``,
-    which applies S without forming this matrix.
-
-    Raises
-    ------
-    ValueError
-        As ``build_band_operator``.
-    """
-    return build_band_operator(grid, omega).dense()
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
-
-
 @dataclass(eq=False)
 class LimitingOperators:
     """The operators chi, S and T = chi + S on one grid.
 
     ``chi`` is stored as the diagonal 0/1 vector and S as its kernel
-    blocks (``band``); both act on weighted samples u = sqrt(w) f.  The
-    dense matrices ``S`` and ``T`` are read-only, built on first access
-    and kept.
+    blocks (``band``); both act on weighted samples u = sqrt(w) f.
     """
 
     grid: LineGrid
@@ -358,15 +336,11 @@ class LimitingOperators:
         """Time-bandwidth parameter omega * tau of the sum operator."""
         return self.omega * self.tau
 
-    @cached_property
-    def S(self) -> np.ndarray:
-        return _read_only(self.band.dense())
-
-    @cached_property
-    def T(self) -> np.ndarray:
+    def dense(self) -> np.ndarray:
+        """A new dense n x n copy of T = chi + S, for a dense eigensolve."""
         t = self.band.dense()
         t[np.diag_indices_from(t)] += self.chi
-        return _read_only(t)
+        return t
 
     def apply_chi(self, f: GridFunction) -> GridFunction:
         return GridFunction(grid=f.grid, values=self.chi * f.values)
@@ -445,7 +419,8 @@ def sum_operator_spectrum(
         Number of eigenvalue pairs to match on each side of 1.
     spec : ProlateSpectrum, optional
         Reference sinc-kernel spectrum at c = omega * tau.  Computed on
-        demand (quadrature order at least 120) when omitted.
+        demand when omitted, at quadrature order at least 120 and never
+        below the admissible minimum at c.
 
     Returns
     -------
@@ -456,7 +431,7 @@ def sum_operator_spectrum(
     if n_report > ops.grid.size:
         raise ValueError(f"n_report={n_report} exceeds grid size {ops.grid.size}")
     if spec is None:
-        spec = prolate_spectrum(ops.c, n_report, order=max(120, n_report))
+        spec = prolate_spectrum(ops.c, n_report, order=max(120, n_report, min_quadrature_order(ops.c)))
     if abs(spec.c - ops.c) > 1e-12:
         raise ValueError(
             f"reference spectrum is at c={spec.c}, operators need c=omega*tau={ops.c}"
@@ -465,7 +440,7 @@ def sum_operator_spectrum(
         raise ValueError(f"reference spectrum has {spec.n_modes} modes, need {n_report}")
 
     try:
-        evals = np.linalg.eigvalsh(ops.T)[::-1]
+        evals = np.linalg.eigvalsh(ops.dense())[::-1]
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(
             f"symmetric eigensolver failed for matrix order {ops.grid.size}",
@@ -587,12 +562,11 @@ def zero_spectrum_witness(ops: LimitingOperators, n: int) -> float:
     return float(np.linalg.norm(t_u) / norm_n)
 
 
-def projector_check(p: np.ndarray, weighted: bool = True) -> tuple[float, float]:
+def projector_check(p: np.ndarray) -> tuple[float, float]:
     """Idempotency and symmetry defects (||P^2 - P||_2, ||P - P^T||_2) of a matrix.
 
-    ``weighted`` records that the matrix acts on weighted samples, where
-    the Euclidean matrix 2-norm is the correct operator norm; diagonal
-    masks look the same in both representations.
+    On weighted samples the Euclidean matrix 2-norm is the operator norm;
+    a diagonal mask may be passed as its diagonal.
     """
     p = np.asarray(p, dtype=float)
     if p.ndim == 1:  # a diagonal mask

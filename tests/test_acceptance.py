@@ -81,7 +81,7 @@ def test_c04_product_invariance():
     tops = []
     for tau, omega in ((1.0, 3.0), (2.0, 1.5)):
         ops = P.build_limiting_operators(grid, tau, omega)
-        tops.append(float(np.linalg.eigvalsh(ops.T).max()))
+        tops.append(float(np.linalg.eigvalsh(ops.dense()).max()))
     diff = abs(tops[0] - tops[1])
     verdict(4, diff < 1e-4, f"top eigenvalues differ by {diff:.3e} < 1e-4")
 

@@ -129,7 +129,7 @@ def test_quadratic_form_decomposition(ops600):
     q = P.quadratic_form(f, ops600)
     u = f.weighted()
     expected = 2 * np.vdot(u, u).real - np.vdot(u, ops600.chi * u).real - np.vdot(
-        u, ops600.S @ u
+        u, ops600.band.dense() @ u
     ).real
     assert q.value == pytest.approx(q.time_part + q.band_part, rel=1e-12)
     assert q.value == pytest.approx(float(expected), rel=1e-10)
@@ -272,7 +272,7 @@ def test_beta_saturates_for_wide_band():
 def test_beta_matches_dense_quadratic_form(unit_gauss, masked_top_mode, Omega):
     for f in (unit_gauss, masked_top_mode):
         u = f.weighted()
-        dense = P.build_band_limiter(f.grid, Omega)
+        dense = P.build_band_operator(f.grid, Omega).dense()
         expected = math.sqrt(float(np.vdot(u, dense @ u).real))
         assert P.concentration_beta(f, Omega) == pytest.approx(expected, abs=1e-13)
 
@@ -290,7 +290,7 @@ def test_chains_allocate_no_dense_matrix():
         P.concentration_beta(f, 3.0)
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
-        ops.S
+        ops.band.dense()
         _, dense_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

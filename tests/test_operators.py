@@ -2,6 +2,7 @@
 spectral picture of their sum."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -151,8 +152,9 @@ def test_time_limiter_projector_defects_vanish(grid600):
 
 
 def test_band_limiter_symmetric_and_contractive(ops600):
-    assert np.array_equal(ops600.S, ops600.S.T)
-    evals = np.linalg.eigvalsh(ops600.S)
+    s = ops600.band.dense()
+    assert np.array_equal(s, s.T)
+    evals = np.linalg.eigvalsh(s)
     assert evals.min() > -1e-8
     assert evals.max() < 1 + 1e-8
 
@@ -161,7 +163,7 @@ def test_band_limiter_trace_is_shannon_density(ops600):
     # The kernel diagonal is omega/pi, so the trace is exactly
     # 2 * L * omega / pi.
     expected = 2 * 30.0 * 3.0 / math.pi
-    assert np.trace(ops600.S) == pytest.approx(expected, rel=1e-12)
+    assert np.trace(ops600.band.dense()) == pytest.approx(expected, rel=1e-12)
 
 
 def test_band_limiter_matches_gaussian_closed_form(gauss_ops):
@@ -194,7 +196,7 @@ def test_band_limiter_fixes_bandlimited_function_to_truncation_floor(ops600):
 
 
 def test_band_limiter_idempotency_defect_is_order_one(ops600):
-    idem, sym = P.projector_check(ops600.S)
+    idem, sym = P.projector_check(ops600.band.dense())
     assert sym == 0.0
     assert DEFECT_RANGE[0] < idem < DEFECT_RANGE[1]
 
@@ -202,14 +204,14 @@ def test_band_limiter_idempotency_defect_is_order_one(ops600):
 def test_band_limiter_rejects_coarse_grid():
     grid = P.build_line_grid(10.0, 12)
     with pytest.raises(ValueError, match="h\\*omega"):
-        P.build_band_limiter(grid, 1.0)
+        P.build_band_operator(grid, 1.0).dense()
 
 
 def test_band_limiter_rejects_nonpositive_bandwidth(grid600):
     with pytest.raises(ValueError):
-        P.build_band_limiter(grid600, 0.0)
+        P.build_band_operator(grid600, 0.0).dense()
     with pytest.raises(ValueError):
-        P.build_band_limiter(grid600, -3.0)
+        P.build_band_operator(grid600, -3.0).dense()
 
 
 def dense_sinc_oracle(grid, omega):
@@ -239,16 +241,14 @@ def test_band_matvec_matches_dense_oracle(L, n, omega):
 def test_band_limiter_gathered_exactly_symmetric_on_mixed_orders():
     grid = P.build_line_grid(12.5, 601)
     assert len(set(grid.panel_orders)) == 2
-    s = P.build_band_limiter(grid, 3.0)
+    s = P.build_band_operator(grid, 3.0).dense()
     assert np.array_equal(s, s.T)
     oracle = dense_sinc_oracle(grid, 3.0)
     assert np.abs(s - oracle).max() <= 1e-13 * np.abs(oracle).max()
 
 
-def test_dense_views_are_read_only_and_consistent(ops600):
-    s, t = ops600.S, ops600.T
-    assert ops600.S is s
-    assert not s.flags.writeable and not t.flags.writeable
+def test_dense_T_is_S_plus_chi(ops600):
+    s, t = ops600.band.dense(), ops600.dense()
     assert np.array_equal(t, s + np.diag(ops600.chi))
 
 
@@ -312,7 +312,8 @@ def test_norm_identities_on_random_functions(ops600):
     # 0 <= <S u, u> <= ||u||^2, and the idempotency defect bounds
     # ||S u||^2 - <S u, u>.
     rng = np.random.default_rng(7)
-    defect = float(np.linalg.norm(ops600.S @ ops600.S - ops600.S, 2))
+    s = ops600.band.dense()
+    defect = float(np.linalg.norm(s @ s - s, 2))
     m = ops600.grid.size
     for _ in range(200):
         u = rng.standard_normal(m) + 1j * rng.standard_normal(m)
@@ -320,7 +321,7 @@ def test_norm_identities_on_random_functions(ops600):
         chi_part = float(np.vdot(ops600.chi * u, ops600.chi * u).real)
         co_part = float(np.vdot((1 - ops600.chi) * u, (1 - ops600.chi) * u).real)
         assert chi_part + co_part == pytest.approx(nrm2, rel=1e-12)
-        su = ops600.S @ u
+        su = s @ u
         quad = float(np.vdot(u, su).real)
         assert -1e-10 * nrm2 <= quad <= (1 + 1e-10) * nrm2
         assert float(np.vdot(su, su).real) - quad <= defect * nrm2 + 1e-10
@@ -382,8 +383,8 @@ def test_sum_spectrum_depends_only_on_product():
     grid = P.build_line_grid(40.0, 800)
     a = P.build_limiting_operators(grid, tau=1.0, omega=3.0)
     b = P.build_limiting_operators(grid, tau=2.0, omega=1.5)
-    top_a = np.linalg.eigvalsh(a.T).max()
-    top_b = np.linalg.eigvalsh(b.T).max()
+    top_a = np.linalg.eigvalsh(a.dense()).max()
+    top_b = np.linalg.eigvalsh(b.dense()).max()
     assert abs(top_a - top_b) < 5e-4
 
 
@@ -396,8 +397,8 @@ def test_sum_spectrum_invariant_under_dilation(s, L_scaled):
     scaled = P.build_limiting_operators(
         P.build_line_grid(L_scaled, 400), tau=s, omega=3.0 / s
     )
-    e_base = np.linalg.eigvalsh(base.T)
-    e_scaled = np.linalg.eigvalsh(scaled.T)
+    e_base = np.linalg.eigvalsh(base.dense())
+    e_scaled = np.linalg.eigvalsh(scaled.dense())
     assert np.abs(e_base - e_scaled).max() < 1e-12
 
 
@@ -412,6 +413,29 @@ def test_sum_spectrum_validates_arguments(ops600, spec3):
     short = P.prolate_spectrum(3.0, 2, order=60)
     with pytest.raises(ValueError, match="modes"):
         P.sum_operator_spectrum(ops600, 4, spec=short)
+
+
+def test_sum_spectrum_default_reference_resolves_large_c():
+    # c = 150 needs quadrature order ceil(2c/pi) + 30 = 126 > 120; the
+    # reference computed on demand must use it rather than raise.
+    ops = P.build_limiting_operators(P.build_line_grid(20.0, 1000), tau=10.0, omega=15.0)
+    report = P.sum_operator_spectrum(ops, 4)
+    assert report.predicted_above.size == 4
+
+
+def test_sum_spectrum_keeps_no_dense_matrix():
+    # T is formed only for the eigensolve: once the report is returned,
+    # the operators still hold no n x n array.
+    n = 1200
+    grid = P.build_line_grid(60.0, n)
+    tracemalloc.start()
+    try:
+        ops = P.build_limiting_operators(grid, tau=1.0, omega=3.0)
+        P.sum_operator_spectrum(ops, 6)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 8 * n * n / 4
 
 
 # ---------------------------------------------------------------------------
