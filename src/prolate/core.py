@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,18 +34,17 @@ __all__ = [
     "pswf_extend",
 ]
 
-# Below this value of |c (x - y)| the direct quotient sin(t)/t loses up
-# to eight digits to cancellation; the three-term series is exact to
-# 1e-16 there.
-SERIES_SWITCH = 1e-4
-
 # Eigenvalues at or below this magnitude are indistinguishable from
 # eigensolver noise for the plunge tail of the spectrum.
 NOISE_FLOOR = 1e-12
 
-# Two computed eigenvalues closer than this are treated as numerically
-# degenerate and ordered by their eigenvectors' sign-change counts.
-DEGENERACY_GAP = 1e-13
+# A computed gap 1 - lambda at or below this (about 1e3 ulp of 1) is
+# eigensolver roundoff, not a resolved value.
+GAP_FLOOR = 1e3 * np.finfo(float).eps
+
+# Largest dense float64 matrix any routine allocates; sizes are checked
+# from the arguments before allocating.
+DENSE_BUDGET_BYTES = 2**30
 
 
 class NumericalFailure(RuntimeError):
@@ -96,23 +95,23 @@ class ProlateSpectrum:
     c : float
         Time-bandwidth parameter of the kernel sin(c(x-y))/(pi(x-y)).
     eigenvalues : ndarray
-        Strictly descending values in (0, 1), one per requested mode.
+        Values in (0, 1) in mode order: mode n is the (n // 2)-th eigenvalue
+        of the even (n even) or odd (n odd) part of the operator.  Resolved
+        values descend strictly; where 1 - lambda is roundoff (c above about
+        22) the order comes from parity alone and the values need not descend.
     modes : ndarray
         Row n holds samples of the n-th eigenfunction at ``rule.nodes``,
-        orthonormal in the rule's weighted inner product, signed so the
-        first sample larger than 1e-8 in magnitude is positive.
+        exactly of parity (-1)^n under node reversal, orthonormal in the
+        rule's weighted inner product, and signed so the first sample
+        larger than 1e-8 in magnitude is positive.
     rule : QuadratureRule
         The rule underlying the Nystrom discretization.
-    degenerate : tuple of int
-        Indices where adjacent eigenvalues agreed within 1e-13 and were
-        ordered by sign-change count instead of magnitude.
     """
 
     c: float
     eigenvalues: np.ndarray
     modes: np.ndarray
     rule: QuadratureRule
-    degenerate: tuple = field(default_factory=tuple)
 
     @property
     def n_modes(self) -> int:
@@ -151,9 +150,10 @@ def gauss_legendre_rule(order: int) -> QuadratureRule:
 def sinc_kernel(c: float, x, y):
     """Kernel sin(c (x - y)) / (pi (x - y)) of the band-limiting operator.
 
-    Broadcasts over array arguments.  Near the diagonal the quotient is
-    evaluated with the series sin(t)/t = 1 - t^2/6 + t^4/120 to avoid
-    cancellation; on the diagonal the value is c / pi.
+    Broadcasts over array arguments.  The quotient sin(t)/t with
+    t = c (x - y) is evaluated directly, which is accurate to roundoff
+    for every t != 0 (neither sin(t) nor t cancels); at t == 0 it takes
+    its limit 1, so the diagonal value is c / pi.
 
     Parameters
     ----------
@@ -169,16 +169,10 @@ def sinc_kernel(c: float, x, y):
     if c <= 0:
         raise ValueError(f"bandwidth parameter c must be positive, got {c}")
     t = c * (np.asarray(x, dtype=float) - np.asarray(y, dtype=float))
-    scalar = t.ndim == 0
-    t = np.atleast_1d(t)
-    out = np.empty_like(t)
-    small = np.abs(t) < SERIES_SWITCH
-    ts = t[small]
-    out[small] = 1.0 - ts * ts / 6.0 + ts**4 / 120.0
-    tb = t[~small]
-    out[~small] = np.sin(tb) / tb
-    out *= c / np.pi
-    return float(out[0]) if scalar else out
+    on_diagonal = t == 0.0
+    safe = np.where(on_diagonal, 1.0, t)
+    out = np.where(on_diagonal, 1.0, np.sin(safe) / safe) * (c / np.pi)
+    return float(out) if out.ndim == 0 else out
 
 
 def nystrom_matrix(c: float, nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -192,27 +186,61 @@ def nystrom_matrix(c: float, nodes: np.ndarray, weights: np.ndarray) -> np.ndarr
 
 
 def min_quadrature_order(c: float) -> int:
-    """Smallest admissible Nystrom order: Shannon count 2c/pi plus a plunge buffer."""
-    return math.ceil(2.0 * c / math.pi) + 30
+    """Smallest admissible Nystrom order ceil(c) + 30.
+
+    Gauss-Legendre nodes need about c points on (-1, 1) to resolve the
+    kernel; the Shannon count 2c/pi is too few for large c, where the
+    top eigenvalue then overshoots 1.
+    """
+    return math.ceil(c) + 30
 
 
-def _symmetric_eigdesc(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a symmetric matrix, sorted descending."""
+def _require_dense_budget(n: int, what: str) -> None:
+    """Refuse an n x n float64 ``what`` larger than DENSE_BUDGET_BYTES."""
+    if 8 * n * n > DENSE_BUDGET_BYTES:
+        raise ValueError(
+            f"{what} of order {n} needs {8 * n * n / 2**30:.3g} GiB, over the "
+            f"{DENSE_BUDGET_BYTES / 2**30:g} GiB budget for a dense matrix"
+        )
+
+
+def _symmetric_eigdesc(a: np.ndarray, vectors: bool = True):
+    """Descending eigenvalues of a symmetric matrix, with their eigenvectors if ``vectors``.
+
+    Raises NumericalFailure where the LAPACK solver does not converge.
+    """
     try:
+        if not vectors:
+            return np.linalg.eigvalsh(a)[::-1]
         vals, vecs = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(
             f"symmetric eigensolver failed for matrix order {a.shape[0]}",
             order=a.shape[0],
         ) from exc
-    idx = np.argsort(vals)[::-1]
-    return vals[idx], vecs[:, idx]
+    return vals[::-1], vecs[:, ::-1]
 
 
-def _sign_changes(samples: np.ndarray) -> int:
-    """Count sign alternations over samples, ignoring near-zero entries."""
-    s = np.sign(samples[np.abs(samples) > 1e-8])
-    return int(np.count_nonzero(s[1:] != s[:-1]))
+def _parity_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs, in mode order, of a symmetric matrix that commutes with index reversal J.
+
+    On the upper half u of the indices, the even block A[u, u] + A[u, Ju] (with
+    the middle index when the order is odd) gives columns 0, 2, 4, ... and the odd
+    block A[u, u] - A[u, Ju] columns 1, 3, 5, ...; each column is exactly even or odd.
+    """
+    n = a.shape[0]
+    up = np.arange(n // 2, n)
+    down = n - 1 - up
+    odd = up[up != down]  # the middle index, its own mirror image, is even
+    d = np.where(up == down, math.sqrt(0.5), 1.0)
+    even_vals, x = _symmetric_eigdesc((a[np.ix_(up, up)] + a[np.ix_(up, down)]) * np.outer(d, d))
+    odd_vals, y = _symmetric_eigdesc(a[np.ix_(odd, odd)] - a[np.ix_(odd, n - 1 - odd)])
+    vals, vecs = np.empty(n), np.zeros((n, n))
+    vals[0::2], vals[1::2] = even_vals, odd_vals
+    vecs[up, 0::2] = vecs[down, 0::2] = x / (math.sqrt(2.0) * d[:, None])
+    vecs[odd, 1::2] = y * math.sqrt(0.5)
+    vecs[n - 1 - odd, 1::2] = -vecs[odd, 1::2]
+    return vals, vecs
 
 
 def prolate_spectrum(
@@ -231,7 +259,7 @@ def prolate_spectrum(
         Number of leading eigenpairs to keep; must not exceed ``order``.
     order : int, optional
         Quadrature order.  Defaults to the minimum admissible order
-        ``ceil(2c/pi) + 30`` (never below ``n_modes``).
+        ``ceil(c) + 30`` (never below ``n_modes``).
     force : bool
         Accept an explicit ``order`` below the admissible minimum.
 
@@ -242,8 +270,9 @@ def prolate_spectrum(
     Raises
     ------
     ValueError
-        Bad arguments, or requested modes reach the eigensolver noise
-        floor 1e-12 where eigenvalues are meaningless.
+        Bad arguments, an order whose Nystrom matrix exceeds
+        DENSE_BUDGET_BYTES, or requested modes reach the eigensolver
+        noise floor 1e-12 where eigenvalues are meaningless.
     NumericalFailure
         The dense symmetric eigensolver did not converge.
     """
@@ -259,11 +288,12 @@ def prolate_spectrum(
     if order < min_order and not force:
         raise ValueError(
             f"order {order} under-resolves the spectrum at c={c}: "
-            f"need at least ceil(2c/pi)+30 = {min_order} (use force to override)"
+            f"need at least ceil(c)+30 = {min_order} (use force to override)"
         )
+    _require_dense_budget(order, "Nystrom matrix")
 
     rule = gauss_legendre_rule(order)
-    vals, vecs = _symmetric_eigdesc(nystrom_matrix(c, rule.nodes, rule.weights))
+    vals, vecs = _parity_eigh(nystrom_matrix(c, rule.nodes, rule.weights))
 
     if vals[n_modes - 1] <= NOISE_FLOOR:
         raise ValueError(
@@ -276,28 +306,13 @@ def prolate_spectrum(
     sq = np.sqrt(rule.weights)
     modes = (vecs / sq[:, None]).T  # row n: psi_n at the nodes, weighted-orthonormal
 
-    # Resolve numerically degenerate neighbours by mode count (sign changes).
-    degenerate = []
-    for i in range(n_modes - 1):
-        if abs(vals[i] - vals[i + 1]) < DEGENERACY_GAP:
-            degenerate.append(i)
-            if _sign_changes(modes[i]) > _sign_changes(modes[i + 1]):
-                modes[[i, i + 1]] = modes[[i + 1, i]]
-                vals[[i, i + 1]] = vals[[i + 1, i]]
-
     # Deterministic sign: first significantly nonzero sample positive.
     for row in modes:
         nz = np.flatnonzero(np.abs(row) > 1e-8)
         if nz.size and row[nz[0]] < 0:
             row *= -1.0
 
-    return ProlateSpectrum(
-        c=c,
-        eigenvalues=vals,
-        modes=modes,
-        rule=rule,
-        degenerate=tuple(degenerate),
-    )
+    return ProlateSpectrum(c=c, eigenvalues=vals, modes=modes, rule=rule)
 
 
 def lambda0_asymptotic(c: float) -> float:
@@ -311,13 +326,30 @@ def lambda0_asymptotic(c: float) -> float:
     return 1.0 - 4.0 * math.sqrt(math.pi) * math.sqrt(c) * math.exp(-2.0 * c)
 
 
+def _resolved_gap(c: float, lambda0: float) -> float:
+    """The gap 1 - lambda0, refused where it is at or below GAP_FLOOR."""
+    gap = 1.0 - lambda0
+    if gap <= GAP_FLOOR:
+        raise NumericalFailure(
+            f"gap 1 - lambda_0 = {gap:.3g} at c={c:g} is at or below the roundoff "
+            f"floor {GAP_FLOOR:.3g}: lambda_0 is not resolved in double precision"
+        )
+    return gap
+
+
 def asymptotic_gap_ratio(c: float, lambda0_numeric: float) -> float:
     """Ratio of the computed gap 1 - lambda_0 to its leading asymptotic.
 
     Tends to 1 as c grows, with an unquantified O(1/c) deviation
     (empirically about 0.47/c over c in [2, 8]).
+
+    Raises
+    ------
+    NumericalFailure
+        The computed gap is at or below GAP_FLOOR (for c above about
+        16.3), so the ratio would be roundoff.
     """
-    return (1.0 - lambda0_numeric) / (1.0 - lambda0_asymptotic(c))
+    return _resolved_gap(c, lambda0_numeric) / (1.0 - lambda0_asymptotic(c))
 
 
 def pswf_extend(spec: ProlateSpectrum, n: int, x):

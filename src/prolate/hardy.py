@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ProlateSpectrum
+from .core import ProlateSpectrum, _resolved_gap
 from .operators import GridFunction, LimitingOperators, build_band_operator
 
 __all__ = [
@@ -309,6 +309,13 @@ def alt_proof_chain(omega: float, M: float, spec: ProlateSpectrum) -> AltProofRe
     Returns
     -------
     AltProofReport
+
+    Raises
+    ------
+    NumericalFailure
+        1 - lambda_0 is at or below the roundoff floor ``GAP_FLOOR``
+        (for omega above about 4.03), so arccos(sqrt(lambda_0)) would be
+        roundoff.
     """
     if omega < 1.5:
         raise ValueError(f"omega must be >= 1.5 (asymptotic regime), got {omega}")
@@ -324,6 +331,7 @@ def alt_proof_chain(omega: float, M: float, spec: ProlateSpectrum) -> AltProofRe
     m_eff = M / (math.pi / 2.0) ** 0.25
     acos_alpha_bound = 2.0 * m_eff / math.sqrt(omega) * math.exp(-(omega**2))
 
+    _resolved_gap(spec.c, float(spec.eigenvalues[0]))  # refuse a roundoff lambda_0
     acos_lambda_numeric = math.acos(math.sqrt(spec.eigenvalues[0]))
     acos_lambda_asymptotic = (
         2.0 * math.pi**0.25 * math.sqrt(omega) * math.exp(-(omega**2))

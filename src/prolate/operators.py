@@ -31,6 +31,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .core import (
     NumericalFailure,
     ProlateSpectrum,
+    _require_dense_budget,
+    _symmetric_eigdesc,
     gauss_legendre_rule,
     min_quadrature_order,
     prolate_spectrum,
@@ -259,7 +261,11 @@ class BandLimiter:
         The matrix is exactly symmetric with eigenvalues in [0, 1] up to
         roundoff; it is a projection only up to domain truncation, whose
         plunge modes contribute an O(1) idempotency defect ||S^2 - S||.
+
+        Raises ValueError when the matrix would exceed the dense-matrix
+        budget ``DENSE_BUDGET_BYTES``.
         """
+        _require_dense_budget(self.panel.size, "band limiter S")
         m = self.spectrum.shape[0] - 1
         # by_offset[a, s, t, b] = B_(a-b)[s, t], a strided view of the blocks.
         by_offset = sliding_window_view(self.blocks, m, axis=0)[..., ::-1]
@@ -439,13 +445,7 @@ def sum_operator_spectrum(
     if spec.n_modes < n_report:
         raise ValueError(f"reference spectrum has {spec.n_modes} modes, need {n_report}")
 
-    try:
-        evals = np.linalg.eigvalsh(ops.dense())[::-1]
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure(
-            f"symmetric eigensolver failed for matrix order {ops.grid.size}",
-            order=ops.grid.size,
-        ) from exc
+    evals = _symmetric_eigdesc(ops.dense(), vectors=False)
     roots = np.sqrt(spec.eigenvalues[:n_report])
     predicted_above = 1.0 + roots  # descending
     predicted_below = np.sort(1.0 - roots)[::-1]  # descending

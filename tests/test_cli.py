@@ -3,6 +3,7 @@ argument validation and exit codes."""
 
 import json
 import math
+import tracemalloc
 
 import pytest
 
@@ -171,6 +172,33 @@ def test_non_finite_arguments_rejected_by_parser(args, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "must be a finite number" in captured.err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["asymptotics", "--c", "18"], ["asymptotics", "--c", "24"], ["hardy", "--omega", "5"]],
+    ids=" ".join,
+)
+def test_unresolved_gap_exits_3(args, capsys):
+    # 1 - lambda_0 at c = 18, 24 and 25 is roundoff in double precision.
+    code, out, err = run_cli(args, capsys)
+    assert code == 3
+    assert out == ""
+    assert "roundoff" in err
+
+
+def test_oversized_dense_matrix_exits_2_without_allocating(capsys):
+    # The default order at c = 1e5 would need a 75 GiB Nystrom matrix.
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(["spectrum", "--c", "1e5", "--modes", "1"], capsys)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert out == ""
+    assert "budget" in err
+    assert peak < 2**20
 
 
 def test_error_messages_go_to_stderr(capsys):

@@ -151,6 +151,32 @@ def test_mode_parity_alternates(spec3):
         assert np.abs(flipped - (-1) ** n * spec3.modes[n]).max() < 1e-8
 
 
+@pytest.mark.parametrize("order", [1, 2, 3, 31, 32, 60, 61, 120, 121])
+def test_modes_exactly_of_parity_in_mode_order(order):
+    # At c = 22 the top of the spectrum agrees with 1 to roundoff, so
+    # only the parity split can tell modes 0, 1, 2, ... apart.
+    c = 22.0
+    n_modes = min(order, 10)
+    spec = P.prolate_spectrum(c, n_modes, order=order, force=True)
+    for n in range(n_modes):
+        assert np.array_equal(spec.modes[n][::-1], (-1) ** n * spec.modes[n])
+    if order >= P.min_quadrature_order(c):
+        rule = spec.rule
+        full = np.sort(np.linalg.eigvalsh(P.nystrom_matrix(c, rule.nodes, rule.weights)))[::-1]
+        assert np.abs(spec.eigenvalues - full[:n_modes]).max() <= 1e-14
+
+
+@pytest.mark.parametrize("c", [60.0, 100.0, 150.0])
+def test_default_order_resolves_top_of_spectrum(c):
+    # At ceil(2c/pi) + 30 nodes the largest eigenvalue overshot 1 (by
+    # 0.83 at c = 100); the default order must keep lambda_0 at 1 up to
+    # roundoff.
+    spec = P.prolate_spectrum(c, 8)
+    fine = P.prolate_spectrum(c, 8, order=int(1.5 * c) + 60)
+    assert spec.eigenvalues[0] <= 1.0 + 1e-13
+    assert np.abs(spec.eigenvalues - fine.eigenvalues).max() <= 1e-12
+
+
 def test_sign_convention_first_significant_sample_positive(spec3):
     for row in spec3.modes:
         nz = np.flatnonzero(np.abs(row) > 1e-8)
@@ -208,6 +234,14 @@ def test_gap_ratio_trend():
     assert r[4.0] == pytest.approx(0.86498586128, abs=1e-9)
     assert r[8.0] == pytest.approx(0.941653867189, abs=1e-8)
     assert abs(r[8.0] - 1) < abs(r[4.0] - 1)
+
+
+@pytest.mark.parametrize("c", [17.0, 18.0, 24.0])
+def test_gap_ratio_refuses_roundoff_gap(c):
+    lam0 = P.prolate_spectrum(c, 1).eigenvalues[0]
+    assert 1.0 - lam0 <= P.core.GAP_FLOOR
+    with pytest.raises(P.NumericalFailure, match="roundoff"):
+        P.asymptotic_gap_ratio(c, lam0)
 
 
 # ---------------------------------------------------------------------------

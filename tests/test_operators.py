@@ -416,11 +416,25 @@ def test_sum_spectrum_validates_arguments(ops600, spec3):
 
 
 def test_sum_spectrum_default_reference_resolves_large_c():
-    # c = 150 needs quadrature order ceil(2c/pi) + 30 = 126 > 120; the
+    # c = 150 needs quadrature order ceil(c) + 30 = 180 > 120; the
     # reference computed on demand must use it rather than raise.
     ops = P.build_limiting_operators(P.build_line_grid(20.0, 1000), tau=10.0, omega=15.0)
     report = P.sum_operator_spectrum(ops, 4)
     assert report.predicted_above.size == 4
+
+
+def test_dense_views_refuse_oversized_grid_before_allocating():
+    n = 12000  # 8 n^2 bytes exceeds the 1 GiB budget
+    ops = P.build_limiting_operators(P.build_line_grid(600.0, n), tau=1.0, omega=3.0)
+    tracemalloc.start()
+    try:
+        for dense in (ops.band.dense, ops.dense):
+            with pytest.raises(ValueError, match="budget"):
+                dense()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_sum_spectrum_keeps_no_dense_matrix():
