@@ -28,6 +28,8 @@ import numpy as np
 
 from .core import (
     NumericalFailure,
+    _require_dense_budget,
+    _resolved_gap,
     asymptotic_gap_ratio,
     lambda0_asymptotic,
     min_quadrature_order,
@@ -90,9 +92,10 @@ def _default_order(c: float) -> int:
 
 def cmd_spectrum(args) -> tuple[list[str], list[list], str]:
     spec = prolate_spectrum(args.c, args.modes, order=args.order, force=args.force)
+    # Mode 0 has the smallest resolved gap, so it is the first row refused.
     rows = [
-        [n, float(spec.eigenvalues[n]), float(1.0 - spec.eigenvalues[n])]
-        for n in range(spec.n_modes)
+        [n, float(lam), float(_resolved_gap(args.c, lam))]
+        for n, lam in enumerate(spec.eigenvalues)
     ]
     summary = (
         f"c={args.c:g}: lambda_0={spec.eigenvalues[0]:.12g}, "
@@ -114,6 +117,7 @@ def cmd_asymptotics(args) -> tuple[list[str], list[list], str]:
 
 
 def cmd_sum_spectrum(args) -> tuple[list[str], list[list], str]:
+    _require_dense_budget(args.n, "sum operator T")  # checked before the grid is built
     grid = build_line_grid(args.L, args.n)
     ops = build_limiting_operators(grid, args.tau, args.omega)
     report = sum_operator_spectrum(ops, args.modes)

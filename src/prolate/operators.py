@@ -19,6 +19,12 @@ its row and column panel only through their offset: S is block
 Toeplitz.  ``BandLimiter`` stores one kernel block per offset and
 applies S by FFT in O(n log n); the dense matrix is gathered from the
 blocks only where a dense eigensolve needs it.
+
+On the mirror-symmetric panel layout of ``build_line_grid`` S commutes
+with the reflection x -> -x, and so does T wherever chi is
+mirror-symmetric on the nodes.  ``sum_operator_spectrum`` then takes the
+eigenvalues of T from its even and odd blocks: two dense solves of order
+about n/2 in place of one of order n.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .core import (
     NumericalFailure,
     ProlateSpectrum,
+    _parity_blocks,
     _require_dense_budget,
     _symmetric_eigdesc,
     gauss_legendre_rule,
@@ -195,7 +202,10 @@ def build_line_grid(L: float, n: int) -> LineGrid:
 def build_time_limiter(grid: LineGrid, tau: float) -> np.ndarray:
     """Diagonal 0/1 mask of the multiplication operator by 1_{(-tau, tau)}.
 
-    Points exactly at +/-tau (a measure-zero event) receive 0.
+    Points exactly at +/-tau (a measure-zero event) receive 0.  Grid nodes
+    are mirror-symmetric only to roundoff, so a mirror pair within
+    roundoff of +/-tau can fall on opposite sides and receive different
+    values; the mask is then not symmetric under x -> -x.
 
     Raises
     ------
@@ -418,6 +428,15 @@ def sum_operator_spectrum(
 ) -> SumSpectrumReport:
     """Diagonalize T = chi + S and compare with the 1 +/- sqrt(lambda_n) pairs.
 
+    T commutes with the reflection J: x -> -x, up to the roundoff of the
+    nodes, exactly when chi is mirror-symmetric (``chi == chi[::-1]``) and
+    so is the grid's panel layout.  Its eigenvalues are then those of the
+    even and odd blocks T[u, u] +/- T[u, Ju] on the upper half u of the
+    nodes, merged in descending order: two dense solves of order about
+    n/2, a quarter of the cost of one of order n, within about 5e-15 of
+    it.  Otherwise, e.g. where a mirror pair of nodes lies within roundoff
+    of +/-tau (see ``build_time_limiter``), the full T is solved.
+
     Parameters
     ----------
     ops : LimitingOperators
@@ -445,7 +464,12 @@ def sum_operator_spectrum(
     if spec.n_modes < n_report:
         raise ValueError(f"reference spectrum has {spec.n_modes} modes, need {n_report}")
 
-    evals = _symmetric_eigdesc(ops.dense(), vectors=False)
+    orders = ops.grid.panel_orders
+    if np.array_equal(ops.chi, ops.chi[::-1]) and orders == orders[::-1]:
+        blocks = _parity_blocks(ops.dense())  # T is freed before the solves
+    else:
+        blocks = (ops.dense(),)
+    evals = np.sort(np.concatenate([_symmetric_eigdesc(b, vectors=False) for b in blocks]))[::-1]
     roots = np.sqrt(spec.eigenvalues[:n_report])
     predicted_above = 1.0 + roots  # descending
     predicted_below = np.sort(1.0 - roots)[::-1]  # descending

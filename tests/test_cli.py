@@ -8,6 +8,7 @@ import tracemalloc
 import pytest
 
 from prolate.cli import main
+from prolate.core import GAP_FLOOR
 
 ALL_DEFAULT_INVOCATIONS = [
     ["spectrum"],
@@ -176,11 +177,17 @@ def test_non_finite_arguments_rejected_by_parser(args, capsys):
 
 @pytest.mark.parametrize(
     "args",
-    [["asymptotics", "--c", "18"], ["asymptotics", "--c", "24"], ["hardy", "--omega", "5"]],
+    [
+        ["asymptotics", "--c", "18"],
+        ["asymptotics", "--c", "24"],
+        ["hardy", "--omega", "5"],
+        ["spectrum", "--c", "18", "--modes", "1"],
+        ["spectrum", "--c", "100", "--modes", "2"],
+    ],
     ids=" ".join,
 )
 def test_unresolved_gap_exits_3(args, capsys):
-    # 1 - lambda_0 at c = 18, 24 and 25 is roundoff in double precision.
+    # 1 - lambda_0 at c = 18, 24, 25 and 100 is roundoff in double precision.
     code, out, err = run_cli(args, capsys)
     assert code == 3
     assert out == ""
@@ -192,6 +199,29 @@ def test_oversized_dense_matrix_exits_2_without_allocating(capsys):
     tracemalloc.start()
     try:
         code, out, err = run_cli(["spectrum", "--c", "1e5", "--modes", "1"], capsys)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert out == ""
+    assert "budget" in err
+    assert peak < 2**20
+
+
+def test_spectrum_prints_resolved_gaps_up_to_c14(capsys):
+    code, out, _ = run_cli(["spectrum", "--c", "14"], capsys)
+    assert code == 0
+    gaps = [float(line.split(",")[2]) for line in out.strip().split("\n")[1:]]
+    assert len(gaps) == 6
+    assert min(gaps) > GAP_FLOOR
+
+
+def test_oversized_sum_spectrum_grid_exits_2_before_building_it(capsys):
+    # n = 100000 would need a 75 GiB T; the grid, band blocks and reference
+    # (37.5 MB together) must not be built before the refusal.
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(["sum-spectrum", "--n", "100000"], capsys)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import prolate as P
 from conftest import LAM0, LAM3
+from prolate.core import _parity_blocks
 
 
 # ---------------------------------------------------------------------------
@@ -164,6 +165,18 @@ def test_modes_exactly_of_parity_in_mode_order(order):
         rule = spec.rule
         full = np.sort(np.linalg.eigvalsh(P.nystrom_matrix(c, rule.nodes, rule.weights)))[::-1]
         assert np.abs(spec.eigenvalues - full[:n_modes]).max() <= 1e-14
+
+
+@pytest.mark.parametrize("order", [1, 2, 7, 8, 31, 32])
+def test_parity_blocks_hold_the_full_spectrum(order):
+    rng = np.random.default_rng(order)
+    b = rng.standard_normal((order, order))
+    b = b + b.T
+    a = b + b[::-1, ::-1]  # symmetric and commuting with index reversal
+    blocks = _parity_blocks(a)
+    assert [block.shape[0] for block in blocks] == [(order + 1) // 2, order // 2]
+    merged = np.sort(np.concatenate([np.linalg.eigvalsh(block) for block in blocks]))
+    assert np.abs(merged - np.linalg.eigvalsh(a)).max() <= 1e-13 * np.abs(a).max() * order
 
 
 @pytest.mark.parametrize("c", [60.0, 100.0, 150.0])

@@ -452,6 +452,62 @@ def test_sum_spectrum_keeps_no_dense_matrix():
     assert held < 8 * n * n / 4
 
 
+@pytest.mark.parametrize(
+    "L,n,tau,omega", [(30.0, 600, 1.0, 3.0), (30.25, 601, 1.0, 3.0), (40.0, 800, 2.0, 1.5)]
+)
+def test_sum_spectrum_parity_split_matches_full_solve(L, n, tau, omega):
+    ops = P.build_limiting_operators(P.build_line_grid(L, n), tau=tau, omega=omega)
+    assert np.array_equal(ops.chi, ops.chi[::-1])  # so T is solved by parity blocks
+    report = P.sum_operator_spectrum(ops, 4)
+    full = np.linalg.eigvalsh(ops.dense())[::-1]
+    assert np.abs(report.computed_eigenvalues - full).max() <= 1e-13
+
+
+def test_sum_spectrum_solves_full_T_where_chi_is_asymmetric():
+    # Mirror nodes 142 and 157 lie within roundoff of -1 and 1 and get
+    # chi = 0 and 1, so T does not commute with the reflection.
+    ops = P.build_limiting_operators(P.build_line_grid(20.0, 300), tau=1.0, omega=3.0)
+    assert not np.array_equal(ops.chi, ops.chi[::-1])
+    report = P.sum_operator_spectrum(ops, 4)
+    assert np.array_equal(report.computed_eigenvalues, np.linalg.eigvalsh(ops.dense())[::-1])
+
+
+def test_sum_spectrum_solves_full_T_on_asymmetric_panel_layout():
+    # Panels of 4 and 6 nodes on (-3, 3): chi is symmetric at tau = 1.9,
+    # but S is not, and a parity split would be off by about 0.07.
+    points, weights = [], []
+    for order, mid in ((4, -1.5), (6, 1.5)):
+        rule = P.gauss_legendre_rule(order)
+        points.append(mid + 1.5 * rule.nodes)
+        weights.append(1.5 * rule.weights)
+    grid = P.LineGrid(3.0, np.concatenate(points), np.concatenate(weights), (4, 6))
+    ops = P.build_limiting_operators(grid, tau=1.9, omega=0.5)
+    assert np.array_equal(ops.chi, ops.chi[::-1])
+    report = P.sum_operator_spectrum(ops, 1, spec=P.prolate_spectrum(0.95, 1))
+    assert np.array_equal(report.computed_eigenvalues, np.linalg.eigvalsh(ops.dense())[::-1])
+
+
+def test_sum_spectrum_frees_T_before_the_block_solves(monkeypatch):
+    n = 1200
+    ops = P.build_limiting_operators(P.build_line_grid(60.0, n), tau=1.0, omega=3.0)
+    held = []
+    solve = P.operators._symmetric_eigdesc
+
+    def traced_solve(a, vectors=True):
+        held.append(tracemalloc.get_traced_memory()[0])
+        return solve(a, vectors)
+
+    monkeypatch.setattr(P.operators, "_symmetric_eigdesc", traced_solve)
+    tracemalloc.start()
+    try:
+        P.sum_operator_spectrum(ops, 6)
+    finally:
+        tracemalloc.stop()
+    # Only the two blocks, 8 n^2 / 2 bytes together, are alive; T alone is 8 n^2.
+    assert len(held) == 2
+    assert max(held) < 0.75 * 8 * n * n
+
+
 # ---------------------------------------------------------------------------
 # Eigenfunction witness
 # ---------------------------------------------------------------------------
