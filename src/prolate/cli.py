@@ -46,6 +46,7 @@ from .hardy import (
 )
 from .operators import (
     GridFunction,
+    _ritz_frequency_count,
     build_limiting_operators,
     build_line_grid,
     sum_operator_spectrum,
@@ -117,7 +118,10 @@ def cmd_asymptotics(args) -> tuple[list[str], list[list], str]:
 
 
 def cmd_sum_spectrum(args) -> tuple[list[str], list[list], str]:
-    _require_dense_budget(args.n, "sum operator T")  # checked before the grid is built
+    # The Ritz basis has at most n + 2M columns (M frequencies, at most n
+    # window nodes); the bound is checked before the grid is built.
+    columns = args.n + 2 * _ritz_frequency_count(args.L, args.omega)
+    _require_dense_budget(args.n, "Ritz basis of chi + S", cols=columns)
     grid = build_line_grid(args.L, args.n)
     ops = build_limiting_operators(grid, args.tau, args.omega)
     report = sum_operator_spectrum(ops, args.modes)
@@ -145,7 +149,8 @@ def cmd_sum_spectrum(args) -> tuple[list[str], list[list], str]:
     summary = (
         f"tau={args.tau:g} omega={args.omega:g} L={args.L:g} n={args.n}: "
         f"max residual above={report.residuals_above.max():.3e}, "
-        f"below={report.residuals_below.max():.3e}, lambda_min={report.lambda_min:.6g}"
+        f"below={report.residuals_below.max():.3e}, lambda_min={report.lambda_min:.6g}, "
+        f"ritz_bound={report.ritz_bound:.3e}"
     )
     return ["k", "side", "computed", "predicted", "residual"], rows, summary
 

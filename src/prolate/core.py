@@ -195,11 +195,13 @@ def min_quadrature_order(c: float) -> int:
     return math.ceil(c) + 30
 
 
-def _require_dense_budget(n: int, what: str) -> None:
-    """Refuse an n x n float64 ``what`` larger than DENSE_BUDGET_BYTES."""
-    if 8 * n * n > DENSE_BUDGET_BYTES:
+def _require_dense_budget(rows: int, what: str, cols: int | None = None) -> None:
+    """Refuse a rows x cols (default square) float64 ``what`` larger than DENSE_BUDGET_BYTES."""
+    cols = rows if cols is None else cols
+    size = 8 * rows * cols
+    if size > DENSE_BUDGET_BYTES:
         raise ValueError(
-            f"{what} of order {n} needs {8 * n * n / 2**30:.3g} GiB, over the "
+            f"{what} of shape {rows} x {cols} needs {size / 2**30:.3g} GiB, over the "
             f"{DENSE_BUDGET_BYTES / 2**30:g} GiB budget for a dense matrix"
         )
 
@@ -390,11 +392,18 @@ def pswf_extend(spec: ProlateSpectrum, n: int, x):
     Returns
     -------
     float or ndarray
+
+    Raises
+    ------
+    ValueError
+        Bad mode index, or a len(x) x order kernel that exceeds
+        DENSE_BUDGET_BYTES.
     """
     if not 0 <= n < spec.n_modes:
         raise ValueError(f"mode index {n} out of range (have {spec.n_modes} modes)")
     xs = np.asarray(x, dtype=float)
     scalar = xs.ndim == 0
+    _require_dense_budget(xs.size, "extension kernel", cols=spec.rule.order)
     kern = sinc_kernel(spec.c, np.atleast_1d(xs)[:, None], spec.rule.nodes[None, :])
     vals = kern @ (spec.rule.weights * spec.modes[n]) / spec.eigenvalues[n]
     return float(vals[0]) if scalar else vals

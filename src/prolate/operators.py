@@ -18,17 +18,19 @@ The grid's panels all have the same width, so an entry of S depends on
 its row and column panel only through their offset: S is block
 Toeplitz.  ``BandLimiter`` stores one kernel block per offset and
 applies S by FFT in O(n log n); the dense matrix is gathered from the
-blocks only where a dense eigensolve needs it.
+blocks only on request, as a test oracle.
 
-On the mirror-symmetric panel layout of ``build_line_grid`` S commutes
-with the reflection x -> -x, and so does T wherever chi is
-mirror-symmetric on the nodes.  ``sum_operator_spectrum`` then takes the
-eigenvalues of T from its even and odd blocks: two dense solves of order
-about n/2 in place of one of order n.
+Every eigenvector of T with a nonzero eigenvalue lies in range chi +
+range S: the window nodes and the band-limited functions e^{i xi x},
+|xi| < omega.  ``sum_operator_spectrum`` takes the eigenvalues of T by
+Rayleigh-Ritz on an orthonormal basis of k columns spanning that
+subspace to roundoff (k is about omega L + 40 plus the window nodes), in
+O(n k^2) work with no n x n array, and certifies them with a Weyl bound.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +39,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .core import (
     NumericalFailure,
     ProlateSpectrum,
-    _parity_blocks,
     _require_dense_budget,
     _symmetric_eigdesc,
     gauss_legendre_rule,
@@ -65,6 +66,17 @@ __all__ = [
 
 # Target number of Gauss-Legendre nodes per grid panel.
 PANEL_ORDER = 5
+
+# Gauss nodes of (0, omega) for the Ritz basis beyond omega L / 2, the count
+# at which the rule integrates cos(xi d), |d| <= 2L, to roundoff.
+RITZ_EXTRA_NODES = 20
+
+# Largest accepted Weyl bound on the distance of the eigenvalues of T from
+# the padded Ritz values.
+RITZ_TOLERANCE = 1e-10
+
+# Basis columns per FFT application of S, which keeps its buffers small.
+RITZ_BLOCK = 32
 
 
 @dataclass(frozen=True, eq=False)
@@ -253,17 +265,21 @@ class BandLimiter:
     slot: np.ndarray
 
     def matvec(self, u: np.ndarray) -> np.ndarray:
-        """S u for real or complex weighted samples u, in O(n log n)."""
+        """S u for real or complex weighted samples u, in O(n log n) per column.
+
+        ``u`` is one vector of shape (n,) or the columns of an (n, k) array.
+        """
         u = np.asarray(u)
-        if u.shape != self.panel.shape:
+        if u.ndim not in (1, 2) or u.shape[0] != self.panel.size:
             raise ValueError(f"vector shape {u.shape} does not match grid size {self.panel.size}")
         m, p = self.spectrum.shape[0] - 1, self.spectrum.shape[1]
         parts = (u.real, u.imag) if np.iscomplexobj(u) else (u,)
-        x = np.zeros((m, p, len(parts)))
-        x[self.panel, self.slot] = np.stack(parts, axis=-1)
+        columns = np.stack(parts, axis=-1).reshape(self.panel.size, -1)
+        x = np.zeros((m, p, columns.shape[1]))
+        x[self.panel, self.slot] = columns
         y = np.fft.irfft(self.spectrum @ np.fft.rfft(x, n=2 * m, axis=0), n=2 * m, axis=0)
-        y = y[self.panel, self.slot]
-        return y[:, 0] + 1j * y[:, 1] if len(parts) == 2 else y[:, 0]
+        y = y[self.panel, self.slot].reshape(*u.shape, len(parts))
+        return y[..., 0] + 1j * y[..., 1] if len(parts) == 2 else y[..., 0]
 
     def dense(self) -> np.ndarray:
         """A new dense n x n copy of S, gathered from the blocks.
@@ -353,7 +369,7 @@ class LimitingOperators:
         return self.omega * self.tau
 
     def dense(self) -> np.ndarray:
-        """A new dense n x n copy of T = chi + S, for a dense eigensolve."""
+        """A new dense n x n copy of T = chi + S, the test oracle of ``sum_operator_spectrum``."""
         t = self.band.dense()
         t[np.diag_indices_from(t)] += self.chi
         return t
@@ -389,7 +405,8 @@ class SumSpectrumReport:
     matched greedily in descending order (nearest unused computed value
     per prediction, which is order-preserving for separated targets).
     ``lambda_min`` is the smallest eigenvalue of the complementary
-    operator 2I - T, bounded below by 1 - sqrt(lambda_0).
+    operator 2I - T, bounded below by 1 - sqrt(lambda_0).  Every
+    eigenvalue of T lies within ``ritz_bound`` of ``computed_eigenvalues``.
     """
 
     tau: float
@@ -402,6 +419,7 @@ class SumSpectrumReport:
     residuals_above: np.ndarray
     residuals_below: np.ndarray
     lambda_min: float
+    ritz_bound: float
 
     @property
     def max_residual(self) -> float:
@@ -409,7 +427,16 @@ class SumSpectrumReport:
 
 
 def _greedy_match(predicted_desc: np.ndarray, pool: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Match predictions (descending) to nearest unused pool values."""
+    """Match predictions (descending) to nearest unused pool values.
+
+    Raises NumericalFailure when the pool has fewer values than there are
+    predictions, which would otherwise match one value twice.
+    """
+    if len(pool) < len(predicted_desc):
+        raise NumericalFailure(
+            f"{len(pool)} eigenvalues of T on one side of 1 for {len(predicted_desc)} "
+            "predicted pairs: the grid does not resolve them"
+        )
     available = pool.astype(float).copy()
     used = np.zeros(len(available), dtype=bool)
     matched = np.empty_like(predicted_desc)
@@ -421,21 +448,86 @@ def _greedy_match(predicted_desc: np.ndarray, pool: np.ndarray) -> tuple[np.ndar
     return matched, np.abs(matched - predicted_desc)
 
 
+def _ritz_frequency_count(half_width: float, omega: float) -> int:
+    """Number M of Gauss nodes of (0, omega) in the Ritz basis on (-half_width, half_width)."""
+    return math.ceil(omega * half_width / 2) + RITZ_EXTRA_NODES
+
+
+def _ritz_basis(ops: LimitingOperators) -> np.ndarray:
+    """Columns spanning range chi + range S to roundoff, not orthonormal.
+
+    S has the kernel (1/pi) integral_0^omega cos(xi (x - y)) d xi, which the
+    Gauss rule on M nodes xi_j of (0, omega) integrates to roundoff for
+    |x - y| <= 2L, so range S lies in the span of sqrt(w) cos(xi_j x) and
+    sqrt(w) sin(xi_j x).  The unit vectors at the window nodes span range chi.
+
+    Raises ValueError when the n x (2M + window nodes) basis would exceed
+    the dense-matrix budget ``DENSE_BUDGET_BYTES``.
+    """
+    grid = ops.grid
+    m = _ritz_frequency_count(grid.half_width, ops.omega)
+    window = np.flatnonzero(ops.chi)
+    _require_dense_budget(grid.size, "Ritz basis of chi + S", cols=2 * m + window.size)
+    xi = 0.5 * ops.omega * (1.0 + gauss_legendre_rule(m).nodes)
+    phase = np.multiply.outer(grid.points, xi)
+    sq = np.sqrt(grid.weights)[:, None]
+    basis = np.zeros((grid.size, 2 * m + window.size))
+    basis[:, :m] = sq * np.cos(phase)
+    basis[:, m : 2 * m] = sq * np.sin(phase)
+    basis[window, 2 * m + np.arange(window.size)] = 1.0
+    return basis
+
+
+def _ritz_eigenvalues(ops: LimitingOperators, q: np.ndarray) -> tuple[np.ndarray, float]:
+    """All n eigenvalues of T, descending, by Rayleigh-Ritz on the orthonormal columns of q.
+
+    With P = q q^T, P chi P = chi when q spans the window nodes, and S is
+    positive semidefinite, so
+
+        ||T - P T P||_2 <= ||S q - q q^T S q||_F + |tr S - tr q^T S q| = eps.
+
+    By Weyl's inequality every eigenvalue of T then lies within eps of the
+    eigenvalues of P T P: those of q^T T q, padded with n - k zeros.
+    Returns the padded values and eps.
+
+    Raises NumericalFailure when eps exceeds ``RITZ_TOLERANCE``: q does not
+    span the eigenvectors of T.
+    """
+    n, k = q.shape
+    s_q = np.empty_like(q)
+    for j in range(0, k, RITZ_BLOCK):
+        s_q[:, j : j + RITZ_BLOCK] = ops.band.matvec(q[:, j : j + RITZ_BLOCK])
+    a = q.T @ s_q
+    s_q -= q @ a  # now the residual (I - P) S q
+    trace_s = ops.omega / np.pi * ops.grid.weights.sum()
+    bound = float(np.linalg.norm(s_q) + abs(trace_s - np.trace(a)))
+    if not bound <= RITZ_TOLERANCE:
+        raise NumericalFailure(
+            f"Ritz basis of order {k} misses the spectrum of T: Weyl bound {bound:.3g} "
+            f"exceeds {RITZ_TOLERANCE:g}",
+            order=k,
+        )
+    window = q[np.flatnonzero(ops.chi)]
+    a += window.T @ window
+    ritz = _symmetric_eigdesc(a, vectors=False)
+    return np.sort(np.concatenate([ritz, np.zeros(n - k)]))[::-1], bound
+
+
 def sum_operator_spectrum(
     ops: LimitingOperators,
     n_report: int,
     spec: ProlateSpectrum | None = None,
 ) -> SumSpectrumReport:
-    """Diagonalize T = chi + S and compare with the 1 +/- sqrt(lambda_n) pairs.
+    """Eigenvalues of T = chi + S against the 1 +/- sqrt(lambda_n) pairs.
 
-    T commutes with the reflection J: x -> -x, up to the roundoff of the
-    nodes, exactly when chi is mirror-symmetric (``chi == chi[::-1]``) and
-    so is the grid's panel layout.  Its eigenvalues are then those of the
-    even and odd blocks T[u, u] +/- T[u, Ju] on the upper half u of the
-    nodes, merged in descending order: two dense solves of order about
-    n/2, a quarter of the cost of one of order n, within about 5e-15 of
-    it.  Otherwise, e.g. where a mirror pair of nodes lies within roundoff
-    of +/-tau (see ``build_time_limiter``), the full T is solved.
+    The eigenvectors of T with nonzero eigenvalues lie in range chi +
+    range S, which k orthonormal columns q span to roundoff: the QR factor
+    of sqrt(w) cos(xi_j x), sqrt(w) sin(xi_j x) at M = ceil(omega L / 2) + 20
+    Gauss nodes xi_j of (0, omega) and the unit vectors at the window
+    nodes (k = n where these are n or more).  The eigenvalues of q^T T q,
+    padded with n - k zeros, are all n eigenvalues of T to within the Weyl
+    bound ``ritz_bound``, about 1e-13 on the line grids.  S q is applied by
+    FFT, so no n x n array is formed, and the work is O(n k^2).
 
     Parameters
     ----------
@@ -450,6 +542,13 @@ def sum_operator_spectrum(
     Returns
     -------
     SumSpectrumReport
+
+    Raises
+    ------
+    ValueError
+        Bad arguments, or a basis over the dense-matrix budget.
+    NumericalFailure
+        The Weyl bound exceeds ``RITZ_TOLERANCE``, or the eigensolver failed.
     """
     if n_report < 1:
         raise ValueError(f"n_report must be >= 1, got {n_report}")
@@ -464,12 +563,8 @@ def sum_operator_spectrum(
     if spec.n_modes < n_report:
         raise ValueError(f"reference spectrum has {spec.n_modes} modes, need {n_report}")
 
-    orders = ops.grid.panel_orders
-    if np.array_equal(ops.chi, ops.chi[::-1]) and orders == orders[::-1]:
-        blocks = _parity_blocks(ops.dense())  # T is freed before the solves
-    else:
-        blocks = (ops.dense(),)
-    evals = np.sort(np.concatenate([_symmetric_eigdesc(b, vectors=False) for b in blocks]))[::-1]
+    q = np.linalg.qr(_ritz_basis(ops))[0]  # the basis is freed once factored
+    evals, bound = _ritz_eigenvalues(ops, q)
     roots = np.sqrt(spec.eigenvalues[:n_report])
     predicted_above = 1.0 + roots  # descending
     predicted_below = np.sort(1.0 - roots)[::-1]  # descending
@@ -490,6 +585,7 @@ def sum_operator_spectrum(
         residuals_above=res_above,
         residuals_below=res_below,
         lambda_min=float(2.0 - evals[0]),
+        ritz_bound=bound,
     )
 
 

@@ -122,6 +122,13 @@ def test_sum_spectrum_table_and_summary(capsys):
     assert "lambda_min" in err
 
 
+def test_sum_spectrum_summary_reports_ritz_bound(capsys):
+    code, _, err = run_cli(["sum-spectrum", "--L", "20", "--n", "300", "--modes", "4"], capsys)
+    assert code == 0
+    bound = float(err.split("ritz_bound=")[1].split()[0])
+    assert 0.0 <= bound <= 1e-10
+
+
 def test_hardy_table_invariants(capsys):
     code, out, _ = run_cli(["hardy"], capsys)
     assert code == 0
@@ -217,7 +224,7 @@ def test_spectrum_prints_resolved_gaps_up_to_c14(capsys):
 
 
 def test_oversized_sum_spectrum_grid_exits_2_before_building_it(capsys):
-    # n = 100000 would need a 75 GiB T; the grid, band blocks and reference
+    # n = 100000 bounds the Ritz basis at 75 GiB; the grid, band blocks and reference
     # (37.5 MB together) must not be built before the refusal.
     tracemalloc.start()
     try:

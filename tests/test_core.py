@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -283,3 +284,16 @@ def test_extension_scalar_vector_consistency(spec3):
 def test_extension_mode_range_validated(spec3):
     with pytest.raises(ValueError):
         P.pswf_extend(spec3, 6, 0.0)
+
+
+def test_extension_refuses_oversized_kernel_before_allocating(spec3):
+    # 2^26 points at order 120 would need a 60 GiB kernel; the broadcast
+    # view of the points costs no memory.
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="budget"):
+            P.pswf_extend(spec3, 0, np.broadcast_to(0.0, (2**26,)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20

@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import prolate as P
 from prolate.core import NumericalFailure, gauss_legendre_rule, sinc_kernel
@@ -238,6 +240,18 @@ def test_band_matvec_matches_dense_oracle(L, n, omega):
         assert np.linalg.norm(got - expected) <= 1e-13 * np.linalg.norm(expected)
 
 
+def test_band_matvec_applies_to_columns(ops600):
+    band = ops600.band
+    rng = np.random.default_rng(7)
+    real = rng.standard_normal((600, 5))
+    for u in (real, real + 1j * rng.standard_normal((600, 5))):
+        columns = np.stack([band.matvec(col) for col in u.T], axis=1)
+        assert np.abs(band.matvec(u) - columns).max() <= 1e-15 * np.abs(columns).max()
+    for shape in ((599,), (599, 2), (600, 2, 1)):
+        with pytest.raises(ValueError, match="shape"):
+            band.matvec(np.zeros(shape))
+
+
 def test_band_limiter_gathered_exactly_symmetric_on_mixed_orders():
     grid = P.build_line_grid(12.5, 601)
     assert len(set(grid.panel_orders)) == 2
@@ -415,6 +429,13 @@ def test_sum_spectrum_validates_arguments(ops600, spec3):
         P.sum_operator_spectrum(ops600, 4, spec=short)
 
 
+def test_sum_spectrum_refuses_to_match_one_value_twice():
+    # Two window nodes give T two eigenvalues above 1, too few for three pairs.
+    ops = P.build_limiting_operators(P.build_line_grid(9.0, 30), tau=0.55, omega=0.5)
+    with pytest.raises(NumericalFailure, match="does not resolve"):
+        P.sum_operator_spectrum(ops, 3)
+
+
 def test_sum_spectrum_default_reference_resolves_large_c():
     # c = 150 needs quadrature order ceil(c) + 30 = 180 > 120; the
     # reference computed on demand must use it rather than raise.
@@ -452,60 +473,92 @@ def test_sum_spectrum_keeps_no_dense_matrix():
     assert held < 8 * n * n / 4
 
 
+def panel_grid(L, orders):
+    """Equal panels of the given Gauss orders on (-L, L), laid out as given."""
+    edges = np.linspace(-L, L, len(orders) + 1)
+    half = 0.5 * (edges[1] - edges[0])
+    rules = [P.gauss_legendre_rule(order) for order in orders]
+    points = np.concatenate([lo + half * (1.0 + r.nodes) for lo, r in zip(edges, rules)])
+    weights = np.concatenate([half * r.weights for r in rules])
+    return P.LineGrid(float(L), points, weights, tuple(orders))
+
+
 @pytest.mark.parametrize(
-    "L,n,tau,omega", [(30.0, 600, 1.0, 3.0), (30.25, 601, 1.0, 3.0), (40.0, 800, 2.0, 1.5)]
+    "L,n,tau,omega",
+    [
+        (30.0, 600, 1.0, 3.0),
+        (30.25, 601, 1.0, 3.0),
+        (40.0, 800, 2.0, 1.5),
+        # Mirror nodes 142 and 157 lie within roundoff of -1 and 1 and get
+        # chi = 0 and 1, so T does not commute with the reflection.
+        (20.0, 300, 1.0, 3.0),
+        # Panels of 4 and 6 nodes on (-3, 3): chi is symmetric, S is not.
+        pytest.param(3.0, (4, 6), 1.9, 0.5, id="3.0-panels4,6-1.9-0.5"),
+    ],
 )
 def test_sum_spectrum_parity_split_matches_full_solve(L, n, tau, omega):
-    ops = P.build_limiting_operators(P.build_line_grid(L, n), tau=tau, omega=omega)
-    assert np.array_equal(ops.chi, ops.chi[::-1])  # so T is solved by parity blocks
+    grid = P.build_line_grid(L, n) if isinstance(n, int) else panel_grid(L, n)
+    ops = P.build_limiting_operators(grid, tau=tau, omega=omega)
     report = P.sum_operator_spectrum(ops, 4)
     full = np.linalg.eigvalsh(ops.dense())[::-1]
     assert np.abs(report.computed_eigenvalues - full).max() <= 1e-13
 
 
-def test_sum_spectrum_solves_full_T_where_chi_is_asymmetric():
-    # Mirror nodes 142 and 157 lie within roundoff of -1 and 1 and get
-    # chi = 0 and 1, so T does not commute with the reflection.
-    ops = P.build_limiting_operators(P.build_line_grid(20.0, 300), tau=1.0, omega=3.0)
-    assert not np.array_equal(ops.chi, ops.chi[::-1])
-    report = P.sum_operator_spectrum(ops, 4)
-    assert np.array_equal(report.computed_eigenvalues, np.linalg.eigvalsh(ops.dense())[::-1])
+@settings(max_examples=25, deadline=None)
+@given(
+    L=st.floats(6.0, 30.0),
+    omega=st.floats(0.5, 4.0),
+    tau_fraction=st.floats(0.01, 0.99),
+    extra=st.integers(0, 60),
+)
+def test_sum_spectrum_ritz_values_match_full_solve(L, omega, tau_fraction, extra):
+    # Five-node panels have max spacing about 2.7 L / n, so n >= 3 L omega
+    # nodes (odd or even) resolve the band.
+    grid = P.build_line_grid(L, math.ceil(3.0 * L * omega) + extra)
+    assume(grid.max_spacing * omega < 1.0)
+    tau = 0.2 + tau_fraction * (L / 3.0 - 0.2)
+    ops = P.build_limiting_operators(grid, tau=tau, omega=omega)
+    assume(ops.chi.any())  # else T = S has no eigenvalue above 1 to match
+    report = P.sum_operator_spectrum(ops, 1)
+    full = np.linalg.eigvalsh(ops.dense())[::-1]
+    assert np.abs(report.computed_eigenvalues - full).max() <= 1e-13
+    assert report.ritz_bound <= 1e-12
 
 
-def test_sum_spectrum_solves_full_T_on_asymmetric_panel_layout():
-    # Panels of 4 and 6 nodes on (-3, 3): chi is symmetric at tau = 1.9,
-    # but S is not, and a parity split would be off by about 0.07.
-    points, weights = [], []
-    for order, mid in ((4, -1.5), (6, 1.5)):
-        rule = P.gauss_legendre_rule(order)
-        points.append(mid + 1.5 * rule.nodes)
-        weights.append(1.5 * rule.weights)
-    grid = P.LineGrid(3.0, np.concatenate(points), np.concatenate(weights), (4, 6))
-    ops = P.build_limiting_operators(grid, tau=1.9, omega=0.5)
-    assert np.array_equal(ops.chi, ops.chi[::-1])
-    report = P.sum_operator_spectrum(ops, 1, spec=P.prolate_spectrum(0.95, 1))
-    assert np.array_equal(report.computed_eigenvalues, np.linalg.eigvalsh(ops.dense())[::-1])
+def test_ritz_step_refuses_a_basis_missing_frequencies(ops600):
+    basis = P.operators._ritz_basis(ops600)
+    m = P.operators._ritz_frequency_count(ops600.grid.half_width, ops600.omega)
+    # Every other cosine and sine column: half the Gauss nodes of (0, omega).
+    keep = np.r_[0:m:2, m : 2 * m : 2, 2 * m : basis.shape[1]]
+    q = np.linalg.qr(basis[:, keep])[0]
+    with pytest.raises(NumericalFailure, match="Weyl bound"):
+        P.operators._ritz_eigenvalues(ops600, q)
 
 
-def test_sum_spectrum_frees_T_before_the_block_solves(monkeypatch):
-    n = 1200
-    ops = P.build_limiting_operators(P.build_line_grid(60.0, n), tau=1.0, omega=3.0)
-    held = []
-    solve = P.operators._symmetric_eigdesc
+def test_ritz_basis_refuses_budget_before_allocating():
+    # A window of nearly all 12000 nodes plus 2M = 1840 frequency columns
+    # exceeds the 1 GiB budget.
+    ops = P.build_limiting_operators(P.build_line_grid(600.0, 12000), tau=599.0, omega=3.0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="budget"):
+            P.operators._ritz_basis(ops)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
-    def traced_solve(a, vectors=True):
-        held.append(tracemalloc.get_traced_memory()[0])
-        return solve(a, vectors)
 
-    monkeypatch.setattr(P.operators, "_symmetric_eigdesc", traced_solve)
+def test_sum_spectrum_peak_memory_below_one_dense_T():
+    n = 2400
+    ops = P.build_limiting_operators(P.build_line_grid(120.0, n), tau=1.0, omega=3.0)
     tracemalloc.start()
     try:
         P.sum_operator_spectrum(ops, 6)
+        _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # Only the two blocks, 8 n^2 / 2 bytes together, are alive; T alone is 8 n^2.
-    assert len(held) == 2
-    assert max(held) < 0.75 * 8 * n * n
+    assert peak < 8 * n * n
 
 
 # ---------------------------------------------------------------------------
