@@ -32,7 +32,6 @@ from .core import (
     _resolved_gap,
     asymptotic_gap_ratio,
     lambda0_asymptotic,
-    min_quadrature_order,
     prolate_spectrum,
 )
 from .hardy import (
@@ -46,7 +45,7 @@ from .hardy import (
 )
 from .operators import (
     GridFunction,
-    _ritz_frequency_count,
+    _ritz_column_bound,
     build_limiting_operators,
     build_line_grid,
     sum_operator_spectrum,
@@ -87,10 +86,6 @@ def _render(command: str, columns: list[str], rows: list[list], fmt: str) -> str
     return json.dumps(payload, separators=(",", ":"), sort_keys=False) + "\n"
 
 
-def _default_order(c: float) -> int:
-    return max(min_quadrature_order(c), 60)
-
-
 def cmd_spectrum(args) -> tuple[list[str], list[list], str]:
     spec = prolate_spectrum(args.c, args.modes, order=args.order, force=args.force)
     # Mode 0 has the smallest resolved gap, so it is the first row refused.
@@ -108,7 +103,7 @@ def cmd_spectrum(args) -> tuple[list[str], list[list], str]:
 def cmd_asymptotics(args) -> tuple[list[str], list[list], str]:
     rows = []
     for c in args.c:
-        spec = prolate_spectrum(c, 1, order=_default_order(c))
+        spec = prolate_spectrum(c, 1)
         lam0 = float(spec.eigenvalues[0])
         rows.append([c, lam0, lambda0_asymptotic(c), asymptotic_gap_ratio(c, lam0)])
     summary = "gap ratio r(c): " + ", ".join(
@@ -118,34 +113,20 @@ def cmd_asymptotics(args) -> tuple[list[str], list[list], str]:
 
 
 def cmd_sum_spectrum(args) -> tuple[list[str], list[list], str]:
-    # The Ritz basis has at most n + 2M columns (M frequencies, at most n
-    # window nodes); the bound is checked before the grid is built.
-    columns = args.n + 2 * _ritz_frequency_count(args.L, args.omega)
+    # The Ritz basis is bounded from the arguments, before the grid is built.
+    columns = _ritz_column_bound(args.L, args.n, args.tau, args.omega)
     _require_dense_budget(args.n, "Ritz basis of chi + S", cols=columns)
     grid = build_line_grid(args.L, args.n)
     ops = build_limiting_operators(grid, args.tau, args.omega)
     report = sum_operator_spectrum(ops, args.modes)
-    rows = []
-    for k in range(args.modes):
-        rows.append(
-            [
-                k,
-                "above",
-                float(report.matched_above[k]),
-                float(report.predicted_above[k]),
-                float(report.residuals_above[k]),
-            ]
+    rows = [
+        [k, side, float(matched[k]), float(predicted[k]), float(residuals[k])]
+        for side, matched, predicted, residuals in (
+            ("above", report.matched_above, report.predicted_above, report.residuals_above),
+            ("below", report.matched_below, report.predicted_below, report.residuals_below),
         )
-    for k in range(args.modes):
-        rows.append(
-            [
-                k,
-                "below",
-                float(report.matched_below[k]),
-                float(report.predicted_below[k]),
-                float(report.residuals_below[k]),
-            ]
-        )
+        for k in range(args.modes)
+    ]
     summary = (
         f"tau={args.tau:g} omega={args.omega:g} L={args.L:g} n={args.n}: "
         f"max residual above={report.residuals_above.max():.3e}, "
@@ -164,7 +145,7 @@ def cmd_hardy(args) -> tuple[list[str], list[list], str]:
         chain = envelope_tail_sum(env, tau, omega)
 
         c = omega * omega
-        spec = prolate_spectrum(c, 1, order=_default_order(c))
+        spec = prolate_spectrum(c, 1)
         half_width = max(5.0 * tau, 5.0) + 10.0 / omega
         grid = build_line_grid(half_width, max(600, int(30.0 * half_width)))
         gauss = GridFunction.from_callable(grid, lambda x: np.exp(-(x**2))).normalized()

@@ -117,11 +117,6 @@ class ProlateSpectrum:
     def n_modes(self) -> int:
         return len(self.eigenvalues)
 
-    def mode(self, n: int) -> np.ndarray:
-        if not 0 <= n < self.n_modes:
-            raise ValueError(f"mode index {n} out of range (have {self.n_modes} modes)")
-        return self.modes[n]
-
 
 @functools.cache
 def gauss_legendre_rule(order: int) -> QuadratureRule:
@@ -206,6 +201,12 @@ def _require_dense_budget(rows: int, what: str, cols: int | None = None) -> None
         )
 
 
+def _require_spectrum_at(spec: ProlateSpectrum, c: float, what: str) -> None:
+    """Refuse a reference spectrum whose c differs from the c that ``what`` needs by over 1e-12."""
+    if abs(spec.c - c) > 1e-12:
+        raise ValueError(f"reference spectrum is at c={spec.c}, {what} needs c={c}")
+
+
 def _symmetric_eigdesc(a: np.ndarray, vectors: bool = True):
     """Descending eigenvalues of a symmetric matrix, with their eigenvectors if ``vectors``.
 
@@ -223,37 +224,22 @@ def _symmetric_eigdesc(a: np.ndarray, vectors: bool = True):
     return vals[::-1], vecs[:, ::-1]
 
 
-def _parity_halves(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Upper half u of n indices, u without the middle index, and the even block's scale on u."""
-    up = np.arange(n // 2, n)
-    middle = up == n - 1 - up  # the middle index, its own mirror image, is even
-    return up, up[~middle], np.where(middle, math.sqrt(0.5), 1.0)
-
-
-def _parity_blocks(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Even block A[u, u] + A[u, Ju] and odd block A[u, u] - A[u, Ju] of a symmetric matrix.
-
-    If A commutes with index reversal J, the two blocks' eigenvalues together
-    are A's.  At odd order the even block is bordered by the middle index,
-    its row and column scaled by 1/sqrt(2).
-    """
-    n = a.shape[0]
-    up, odd, d = _parity_halves(n)
-    even_block = (a[np.ix_(up, up)] + a[np.ix_(up, n - 1 - up)]) * np.outer(d, d)
-    return even_block, a[np.ix_(odd, odd)] - a[np.ix_(odd, n - 1 - odd)]
-
-
 def _parity_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs, in mode order, of a symmetric matrix that commutes with index reversal J.
 
-    The even block of ``_parity_blocks`` gives columns 0, 2, 4, ... and the odd
-    block columns 1, 3, 5, ...; each column is exactly even or odd.
+    On the upper half u of the indices, the even block A[u, u] + A[u, Ju]
+    gives columns 0, 2, 4, ... and the odd block A[u, u] - A[u, Ju] columns
+    1, 3, 5, ...; together their eigenvalues are A's, and each column is
+    exactly even or odd.  At odd order the even block is bordered by the
+    middle index, its row and column scaled by 1/sqrt(2).
     """
     n = a.shape[0]
-    up, odd, d = _parity_halves(n)
-    even_block, odd_block = _parity_blocks(a)
+    up = np.arange(n // 2, n)
+    middle = up == n - 1 - up  # the middle index, its own mirror image, is even
+    odd, d = up[~middle], np.where(middle, math.sqrt(0.5), 1.0)
+    even_block = (a[np.ix_(up, up)] + a[np.ix_(up, n - 1 - up)]) * np.outer(d, d)
     even_vals, x = _symmetric_eigdesc(even_block)
-    odd_vals, y = _symmetric_eigdesc(odd_block)
+    odd_vals, y = _symmetric_eigdesc(a[np.ix_(odd, odd)] - a[np.ix_(odd, n - 1 - odd)])
     vals, vecs = np.empty(n), np.zeros((n, n))
     vals[0::2], vals[1::2] = even_vals, odd_vals
     vecs[up, 0::2] = vecs[n - 1 - up, 0::2] = x / (math.sqrt(2.0) * d[:, None])

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ProlateSpectrum, _resolved_gap
+from .core import ProlateSpectrum, _require_spectrum_at, _resolved_gap
 from .operators import GridFunction, LimitingOperators, build_band_operator
 
 __all__ = [
@@ -236,11 +236,7 @@ def landau_pollak_check(
     side.  The margin is nonnegative up to numerical slack, and zero
     exactly at the concentration extremizers.
     """
-    c = 0.5 * Omega * T_width
-    if abs(spec.c - c) > 1e-12:
-        raise ValueError(
-            f"reference spectrum is at c={spec.c}, inequality needs c=Omega*T/2={c}"
-        )
+    _require_spectrum_at(spec, 0.5 * Omega * T_width, "the inequality at Omega*T/2")
     alpha = concentration_alpha(f, T_width)
     beta = concentration_beta(f, Omega)
     lhs = math.acos(min(alpha, 1.0)) + math.acos(min(beta, 1.0))
@@ -321,10 +317,7 @@ def alt_proof_chain(omega: float, M: float, spec: ProlateSpectrum) -> AltProofRe
         raise ValueError(f"omega must be >= 1.5 (asymptotic regime), got {omega}")
     if M <= 0:
         raise ValueError(f"M must be positive, got {M}")
-    if abs(spec.c - omega * omega) > 1e-12:
-        raise ValueError(
-            f"reference spectrum is at c={spec.c}, chain needs c=omega^2={omega * omega}"
-        )
+    _require_spectrum_at(spec, omega * omega, "the chain at omega^2")
     # alpha of the normalized Gaussian over (-omega, omega), exactly.
     alpha_sq = math.erf(math.sqrt(2.0) * omega)
     acos_alpha = math.acos(math.sqrt(alpha_sq))

@@ -40,9 +40,9 @@ from .core import (
     NumericalFailure,
     ProlateSpectrum,
     _require_dense_budget,
+    _require_spectrum_at,
     _symmetric_eigdesc,
     gauss_legendre_rule,
-    min_quadrature_order,
     prolate_spectrum,
     pswf_extend,
     sinc_kernel,
@@ -67,8 +67,8 @@ __all__ = [
 # Target number of Gauss-Legendre nodes per grid panel.
 PANEL_ORDER = 5
 
-# Gauss nodes of (0, omega) for the Ritz basis beyond omega L / 2, the count
-# at which the rule integrates cos(xi d), |d| <= 2L, to roundoff.
+# Gauss nodes of (0, omega) for the Ritz basis beyond omega L / 2: enough for
+# its columns to span range S to roundoff, as the Weyl bound certifies.
 RITZ_EXTRA_NODES = 20
 
 # Largest accepted Weyl bound on the distance of the eigenvalues of T from
@@ -146,12 +146,18 @@ class GridFunction:
         return GridFunction(grid=self.grid, values=self.values / n)
 
 
-def _panel_orders(n: int) -> list[int]:
-    """Split n nodes into a symmetric list of per-panel orders near PANEL_ORDER."""
+def _panel_count(n: int) -> int:
+    """Number of equal-width panels for n nodes, about n / PANEL_ORDER."""
     m = max(1, n // PANEL_ORDER)
     # A symmetric distribution needs an even surplus or a center panel.
     if m > 1 and m % 2 == 0 and (n % m) % 2 == 1:
         m -= 1
+    return m
+
+
+def _panel_orders(n: int) -> list[int]:
+    """Split n nodes into a symmetric list of per-panel orders near PANEL_ORDER."""
+    m = _panel_count(n)
     base, extra = divmod(n, m)
     orders = [base] * m
     if m % 2 == 1:
@@ -453,13 +459,27 @@ def _ritz_frequency_count(half_width: float, omega: float) -> int:
     return math.ceil(omega * half_width / 2) + RITZ_EXTRA_NODES
 
 
+def _ritz_column_bound(half_width: float, n: int, tau: float, omega: float) -> int:
+    """Upper bound on the column count of ``_ritz_basis``, from the grid's arguments alone.
+
+    The basis has 2M frequency columns and one per window node.  Of the m
+    equal panels of ``build_line_grid``, at most ceil(tau m / L) + 1 meet
+    (-tau, tau), and each holds at most ceil(n / m) nodes.
+    """
+    m = _panel_count(n)
+    panels = math.ceil(tau / half_width * m) + 1 if 0 < tau < half_width else m
+    return 2 * _ritz_frequency_count(half_width, omega) + min(n, panels * -(-n // m))
+
+
 def _ritz_basis(ops: LimitingOperators) -> np.ndarray:
     """Columns spanning range chi + range S to roundoff, not orthonormal.
 
-    S has the kernel (1/pi) integral_0^omega cos(xi (x - y)) d xi, which the
-    Gauss rule on M nodes xi_j of (0, omega) integrates to roundoff for
-    |x - y| <= 2L, so range S lies in the span of sqrt(w) cos(xi_j x) and
-    sqrt(w) sin(xi_j x).  The unit vectors at the window nodes span range chi.
+    S has the kernel (1/pi) integral_0^omega cos(xi (x - y)) d xi.  Its range is
+    spanned to roundoff by sqrt(w) cos(xi_j x) and sqrt(w) sin(xi_j x) at M
+    Gauss nodes xi_j of (0, omega), as ``_ritz_eigenvalues`` certifies after
+    the fact, although the rule does not integrate the kernel to roundoff for
+    every |x - y| <= 2L at large L.  The unit vectors at the window nodes
+    span range chi.
 
     Raises ValueError when the n x (2M + window nodes) basis would exceed
     the dense-matrix budget ``DENSE_BUDGET_BYTES``.
@@ -536,8 +556,7 @@ def sum_operator_spectrum(
         Number of eigenvalue pairs to match on each side of 1.
     spec : ProlateSpectrum, optional
         Reference sinc-kernel spectrum at c = omega * tau.  Computed on
-        demand when omitted, at quadrature order at least 120 and never
-        below the admissible minimum at c.
+        demand at the default quadrature order when omitted.
 
     Returns
     -------
@@ -555,11 +574,8 @@ def sum_operator_spectrum(
     if n_report > ops.grid.size:
         raise ValueError(f"n_report={n_report} exceeds grid size {ops.grid.size}")
     if spec is None:
-        spec = prolate_spectrum(ops.c, n_report, order=max(120, n_report, min_quadrature_order(ops.c)))
-    if abs(spec.c - ops.c) > 1e-12:
-        raise ValueError(
-            f"reference spectrum is at c={spec.c}, operators need c=omega*tau={ops.c}"
-        )
+        spec = prolate_spectrum(ops.c, n_report)
+    _require_spectrum_at(spec, ops.c, "chi + S at omega*tau")
     if spec.n_modes < n_report:
         raise ValueError(f"reference spectrum has {spec.n_modes} modes, need {n_report}")
 
@@ -624,17 +640,9 @@ def eigenfunction_witness(
     """
     if sign not in (+1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
-    if not 0 <= n < spec.eigenvalues.size:
-        raise ValueError(
-            f"mode index {n} out of range for a spectrum with "
-            f"{spec.eigenvalues.size} modes"
-        )
-    if abs(spec.c - ops.c) > 1e-9:
-        raise ValueError(
-            f"reference spectrum is at c={spec.c}, operators need c=omega*tau={ops.c}"
-        )
+    _require_spectrum_at(spec, ops.c, "chi + S at omega*tau")
+    ext = pswf_extend(spec, n, ops.grid.points / ops.tau)  # refuses a bad mode index
     lam = 1.0 + sign * np.sqrt(spec.eigenvalues[n]) + eigenvalue_shift
-    ext = pswf_extend(spec, n, ops.grid.points / ops.tau)
     inside = ops.chi > 0.5
     f = np.where(inside, lam * ext, (lam - 1.0) * ext)
     u = np.sqrt(ops.grid.weights) * f

@@ -224,7 +224,7 @@ def test_spectrum_prints_resolved_gaps_up_to_c14(capsys):
 
 
 def test_oversized_sum_spectrum_grid_exits_2_before_building_it(capsys):
-    # n = 100000 bounds the Ritz basis at 75 GiB; the grid, band blocks and reference
+    # n = 100000 bounds the Ritz basis at 2.6 GiB; the grid, band blocks and reference
     # (37.5 MB together) must not be built before the refusal.
     tracemalloc.start()
     try:

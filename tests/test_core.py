@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import prolate as P
 from conftest import LAM0, LAM3
-from prolate.core import _parity_blocks
+from prolate.core import _parity_eigh
 
 
 # ---------------------------------------------------------------------------
@@ -174,10 +174,10 @@ def test_parity_blocks_hold_the_full_spectrum(order):
     b = rng.standard_normal((order, order))
     b = b + b.T
     a = b + b[::-1, ::-1]  # symmetric and commuting with index reversal
-    blocks = _parity_blocks(a)
-    assert [block.shape[0] for block in blocks] == [(order + 1) // 2, order // 2]
-    merged = np.sort(np.concatenate([np.linalg.eigvalsh(block) for block in blocks]))
-    assert np.abs(merged - np.linalg.eigvalsh(a)).max() <= 1e-13 * np.abs(a).max() * order
+    vals, vecs = _parity_eigh(a)
+    assert np.abs(np.sort(vals) - np.linalg.eigvalsh(a)).max() <= 1e-13 * np.abs(a).max() * order
+    for j in range(order):
+        assert np.array_equal(vecs[::-1, j], (-1) ** j * vecs[:, j])
 
 
 @pytest.mark.parametrize("c", [60.0, 100.0, 150.0])

@@ -1,6 +1,7 @@
 """Tests for the tail bounds, quadratic form, concentration inequality
 and contradiction chains of the uncertainty-principle verifier."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -341,6 +342,27 @@ def test_landau_pollak_holds_for_full_extension(gauss_grid, spec2):
 def test_landau_pollak_rejects_mismatched_spectrum(unit_gauss, spec2):
     with pytest.raises(ValueError, match="c="):
         P.landau_pollak_check(unit_gauss, 2.0, 3.0, spec2)
+
+
+@pytest.mark.parametrize("shift", [0.0, 1e-10])
+@pytest.mark.parametrize(
+    "entry", ["sum_operator_spectrum", "eigenfunction_witness", "landau_pollak_check", "alt_proof_chain"]
+)
+def test_reference_spectrum_checked_at_one_tolerance(entry, shift, ops600, unit_gauss):
+    # Every entry point that takes a reference spectrum accepts it at its own
+    # c and refuses it 1e-10 away.
+    c, run = {
+        "sum_operator_spectrum": (3.0, lambda spec: P.sum_operator_spectrum(ops600, 1, spec=spec)),
+        "eigenfunction_witness": (3.0, lambda spec: P.eigenfunction_witness(spec, ops600, 0, +1)),
+        "landau_pollak_check": (2.0, lambda spec: P.landau_pollak_check(unit_gauss, 2.0, 2.0, spec)),
+        "alt_proof_chain": (4.0, lambda spec: P.alt_proof_chain(2.0, 1.0, spec)),
+    }[entry]
+    spec = dataclasses.replace(P.prolate_spectrum(c, 1, order=120), c=c + shift)
+    if shift:
+        with pytest.raises(ValueError, match="c="):
+            run(spec)
+    else:
+        run(spec)
 
 
 # ---------------------------------------------------------------------------

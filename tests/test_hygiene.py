@@ -1,0 +1,43 @@
+"""Static checks on the package source: no unused imports, no unreferenced private functions."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SOURCE = Path(__file__).resolve().parents[1] / "src" / "prolate"
+MODULES = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SOURCE.glob("*.py"))}
+
+
+def referenced_names(tree: ast.AST) -> set[str]:
+    """Names read as variables or attributes anywhere in ``tree``."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+@pytest.mark.parametrize("module", sorted(MODULES))
+def test_every_import_is_used(module):
+    tree = MODULES[module]
+    imported = set()
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {alias.asname or alias.name for alias in node.names if alias.name != "*"}
+        elif isinstance(node, ast.Import):
+            imported |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+    assert imported - referenced_names(tree) == set()
+
+
+def test_every_private_function_is_referenced():
+    used = set().union(*(referenced_names(tree) for tree in MODULES.values()))
+    private = {
+        node.name
+        for tree in MODULES.values()
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_") and not node.name.startswith("__")
+    }
+    assert private - used == set()

@@ -525,6 +525,31 @@ def test_sum_spectrum_ritz_values_match_full_solve(L, omega, tau_fraction, extra
     assert report.ritz_bound <= 1e-12
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    L=st.floats(0.5, 40.0),
+    n=st.integers(2, 1500),
+    tau_fraction=st.floats(0.001, 0.999),
+    omega_fraction=st.floats(0.01, 0.99),
+)
+def test_ritz_column_bound_covers_the_basis(L, n, tau_fraction, omega_fraction):
+    grid = P.build_line_grid(L, n)
+    omega = omega_fraction / grid.max_spacing  # h * omega < 1
+    tau = tau_fraction * L
+    ops = P.build_limiting_operators(grid, tau=tau, omega=omega)
+    bound = P.operators._ritz_column_bound(L, n, tau, omega)
+    assert bound >= P.operators._ritz_basis(ops).shape[1]
+
+
+def test_ritz_column_bound_admits_a_large_grid():
+    # At L = 30, n = 12000 the basis is 12000 x 530 (51 MB); the bound n + 2M
+    # of the window-blind count would exceed the 1 GiB budget.
+    L, n, tau, omega = 30.0, 12000, 1.0, 3.0
+    bound = P.operators._ritz_column_bound(L, n, tau, omega)
+    blind = n + 2 * P.operators._ritz_frequency_count(L, omega)
+    assert 8 * n * bound <= P.core.DENSE_BUDGET_BYTES < 8 * n * blind
+
+
 def test_ritz_step_refuses_a_basis_missing_frequencies(ops600):
     basis = P.operators._ritz_basis(ops600)
     m = P.operators._ritz_frequency_count(ops600.grid.half_width, ops600.omega)
