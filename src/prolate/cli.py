@@ -11,7 +11,8 @@ Four subcommands cover the verification campaigns:
 Each command writes CSV (default) or JSON to stdout or ``--out``, with
 floats at 17 significant digits so identical flags give byte-identical
 output.  A human-readable summary goes to stderr.  Exit codes: 0 on
-success, 2 for invalid arguments, 3 for numerical failures.
+success, 2 for invalid or out-of-range arguments, 3 for numerical
+failures.
 
 Running a subcommand with no flags reproduces its default verification
 scenario.
@@ -146,11 +147,11 @@ def cmd_hardy(args) -> tuple[list[str], list[list], str]:
 
         c = omega * omega
         spec = prolate_spectrum(c, 1)
+        alt = alt_proof_chain(omega, args.M, spec)  # refuses a roundoff lambda_0 before the grid
         half_width = max(5.0 * tau, 5.0) + 10.0 / omega
         grid = build_line_grid(half_width, max(600, int(30.0 * half_width)))
         gauss = GridFunction.from_callable(grid, lambda x: np.exp(-(x**2))).normalized()
         lp = landau_pollak_check(gauss, 2.0 * omega, omega, spec)
-        alt = alt_proof_chain(omega, args.M, spec)
 
         rows.append(
             [
@@ -236,6 +237,9 @@ def main(argv=None) -> int:
         content = _render(args.command, columns, rows, args.format)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except ArithmeticError as exc:
+        print(f"error: argument out of range: {exc}", file=sys.stderr)
         return 2
     except (NumericalFailure, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

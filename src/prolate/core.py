@@ -77,14 +77,6 @@ class QuadratureRule:
     nodes: np.ndarray
     weights: np.ndarray
 
-    def integrate(self, values: np.ndarray) -> complex | float:
-        """Apply the rule to samples taken at the nodes."""
-        return np.asarray(values) @ self.weights
-
-    def inner(self, f: np.ndarray, g: np.ndarray) -> complex | float:
-        """Weighted L^2(-1, 1) inner product of node samples (conjugate-linear in g)."""
-        return np.conj(g) @ (self.weights * np.asarray(f))
-
 
 @dataclass(eq=False)
 class ProlateSpectrum:
@@ -193,7 +185,7 @@ def min_quadrature_order(c: float) -> int:
 def _require_dense_budget(rows: int, what: str, cols: int | None = None) -> None:
     """Refuse a rows x cols (default square) float64 ``what`` larger than DENSE_BUDGET_BYTES."""
     cols = rows if cols is None else cols
-    size = 8 * rows * cols
+    size = 8.0 * rows * cols
     if size > DENSE_BUDGET_BYTES:
         raise ValueError(
             f"{what} of shape {rows} x {cols} needs {size / 2**30:.3g} GiB, over the "

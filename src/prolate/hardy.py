@@ -62,10 +62,6 @@ class GaussianEnvelope:
         if self.M <= 0 or self.a <= 0 or self.b <= 0:
             raise ValueError(f"envelope parameters must be positive, got {self}")
 
-    @property
-    def product(self) -> float:
-        return self.a * self.b
-
 
 def time_tail_bound(env: GaussianEnvelope, tau: float) -> float:
     """Closed-form bound M^2/(a tau) exp(-a tau^2) on the time-tail energy.

@@ -12,7 +12,7 @@ extension, and shifted modulated Gaussians witness 0 in the spectrum.
 
 All operator matrices act on weighted samples u = sqrt(w) f, which
 keeps them real symmetric; ``GridFunction`` stores plain samples and
-the conversion happens inside the apply helpers.
+``GridFunction.weighted()`` converts them.
 
 The grid's panels all have the same width, so an entry of S depends on
 its row and column panel only through their offset: S is block
@@ -61,7 +61,6 @@ __all__ = [
     "sum_operator_spectrum",
     "eigenfunction_witness",
     "zero_spectrum_witness",
-    "projector_check",
 ]
 
 # Target number of Gauss-Legendre nodes per grid panel.
@@ -108,10 +107,6 @@ class LineGrid:
     @property
     def max_spacing(self) -> float:
         return float(np.max(np.diff(self.points)))
-
-    def inner(self, f: np.ndarray, g: np.ndarray) -> complex:
-        """Weighted inner product of sample vectors (conjugate-linear in g)."""
-        return complex(np.conj(g) @ (self.weights * np.asarray(f)))
 
 
 @dataclass(eq=False)
@@ -253,7 +248,6 @@ class BandLimiter:
 
     Attributes
     ----------
-    omega : float
     blocks : ndarray, shape (2m - 1, p, p)
         ``blocks[m - 1 + d]`` is B_d for panel offsets d = 1-m, ..., m-1,
         with B_(-d) the exact transpose of B_d.
@@ -264,7 +258,6 @@ class BandLimiter:
         Panel and slot of every grid node.
     """
 
-    omega: float
     blocks: np.ndarray
     spectrum: np.ndarray
     panel: np.ndarray
@@ -347,7 +340,6 @@ def build_band_operator(grid: LineGrid, omega: float) -> BandLimiter:
     p = offsets.size
     circulant = np.concatenate([ahead, np.zeros((1, p, p)), behind])
     return BandLimiter(
-        omega=float(omega),
         blocks=np.concatenate([behind, ahead]),
         spectrum=np.fft.rfft(circulant, axis=0),
         panel=panel,
@@ -379,18 +371,6 @@ class LimitingOperators:
         t = self.band.dense()
         t[np.diag_indices_from(t)] += self.chi
         return t
-
-    def apply_chi(self, f: GridFunction) -> GridFunction:
-        return GridFunction(grid=f.grid, values=self.chi * f.values)
-
-    def apply_S(self, f: GridFunction) -> GridFunction:
-        sq = np.sqrt(self.grid.weights)
-        return GridFunction(grid=f.grid, values=self.band.matvec(f.weighted()) / sq)
-
-    def apply_T(self, f: GridFunction) -> GridFunction:
-        sq = np.sqrt(self.grid.weights)
-        u = f.weighted()
-        return GridFunction(grid=f.grid, values=(self.chi * u + self.band.matvec(u)) / sq)
 
 
 def build_limiting_operators(grid: LineGrid, tau: float, omega: float) -> LimitingOperators:
@@ -426,10 +406,6 @@ class SumSpectrumReport:
     residuals_below: np.ndarray
     lambda_min: float
     ritz_bound: float
-
-    @property
-    def max_residual(self) -> float:
-        return float(max(self.residuals_above.max(), self.residuals_below.max()))
 
 
 def _greedy_match(predicted_desc: np.ndarray, pool: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -689,18 +665,3 @@ def zero_spectrum_witness(ops: LimitingOperators, n: int) -> float:
     t_u = ops.chi * u + ops.band.matvec(u)
     return float(np.linalg.norm(t_u) / norm_n)
 
-
-def projector_check(p: np.ndarray) -> tuple[float, float]:
-    """Idempotency and symmetry defects (||P^2 - P||_2, ||P - P^T||_2) of a matrix.
-
-    On weighted samples the Euclidean matrix 2-norm is the operator norm;
-    a diagonal mask may be passed as its diagonal.
-    """
-    p = np.asarray(p, dtype=float)
-    if p.ndim == 1:  # a diagonal mask
-        p = np.diag(p)
-    if p.ndim != 2 or p.shape[0] != p.shape[1]:
-        raise ValueError(f"projector_check needs a square matrix, got shape {p.shape}")
-    idem = float(np.linalg.norm(p @ p - p, 2))
-    sym = float(np.linalg.norm(p - p.T, 2))
-    return idem, sym

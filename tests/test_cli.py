@@ -188,17 +188,42 @@ def test_non_finite_arguments_rejected_by_parser(args, capsys):
         ["asymptotics", "--c", "18"],
         ["asymptotics", "--c", "24"],
         ["hardy", "--omega", "5"],
+        ["hardy", "--omega", "12"],
         ["spectrum", "--c", "18", "--modes", "1"],
         ["spectrum", "--c", "100", "--modes", "2"],
     ],
     ids=" ".join,
 )
 def test_unresolved_gap_exits_3(args, capsys):
-    # 1 - lambda_0 at c = 18, 24, 25 and 100 is roundoff in double precision.
+    # 1 - lambda_0 at c = 18, 24, 25, 100 and 144 is roundoff in double precision;
+    # hardy refuses it before building a grid too coarse for omega = 12.
     code, out, err = run_cli(args, capsys)
     assert code == 3
     assert out == ""
     assert "roundoff" in err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["sum-spectrum", "--L", "1e308", "--omega", "10"],
+        ["hardy", "--omega", "1e200"],
+        ["hardy", "--M", "1e200"],
+        ["hardy", "--M", "1e-200"],
+        ["spectrum", "--c", "1e200", "--modes", "1"],
+        ["asymptotics", "--c", "1e200"],
+        pytest.param(["sum-spectrum", "--n", "1" + "0" * 400], id="sum-spectrum --n 1e400"),
+    ],
+    ids=" ".join,
+)
+def test_extreme_finite_arguments_exit_2(args, capsys):
+    # Finite arguments whose derived sizes overflow or underflow are refused, not a traceback.
+    code, out, err = run_cli(args, capsys)
+    assert code == 2
+    assert out == ""
+    assert "error" in err
+    if args[0] in ("spectrum", "asymptotics"):
+        assert "budget" in err
 
 
 def test_oversized_dense_matrix_exits_2_without_allocating(capsys):

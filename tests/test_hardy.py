@@ -38,7 +38,7 @@ def masked_top_mode(gauss_grid, spec2):
 
 
 def test_envelope_validates_parameters():
-    assert P.GaussianEnvelope(2.0, 1.0, 4.0).product == 4.0
+    P.GaussianEnvelope(2.0, 1.0, 4.0)
     for bad in [(0.0, 1, 1), (1, 0.0, 1), (1, 1, 0.0), (-1, 1, 1), (1, -2, 1)]:
         with pytest.raises(ValueError):
             P.GaussianEnvelope(*bad)

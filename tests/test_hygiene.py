@@ -1,4 +1,4 @@
-"""Static checks on the package source: no unused imports, no unreferenced private functions."""
+"""Static checks on the package source: no unused imports, no unreferenced private functions or methods."""
 
 import ast
 from pathlib import Path
@@ -41,3 +41,21 @@ def test_every_private_function_is_referenced():
         if isinstance(node, ast.FunctionDef) and node.name.startswith("_") and not node.name.startswith("__")
     }
     assert private - used == set()
+
+
+def test_every_method_is_read_as_an_attribute():
+    read = {
+        node.attr
+        for tree in MODULES.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    unread = {
+        f"{cls.name}.{node.name}"
+        for tree in MODULES.values()
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("__") and node.name not in read
+    }
+    assert unread == set()
