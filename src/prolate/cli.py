@@ -235,15 +235,15 @@ def main(argv=None) -> int:
     try:
         columns, rows, summary = args.run(args)
         content = _render(args.command, columns, rows, args.format)
+    except (NumericalFailure, np.linalg.LinAlgError) as exc:  # before ValueError, LinAlgError's base
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ArithmeticError as exc:
         print(f"error: argument out of range: {exc}", file=sys.stderr)
         return 2
-    except (NumericalFailure, np.linalg.LinAlgError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(content)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -98,12 +98,17 @@ class ProlateSpectrum:
         larger than 1e-8 in magnitude is positive.
     rule : QuadratureRule
         The rule underlying the Nystrom discretization.
+
+    ``eigenvalues`` and ``modes`` are read-only: ``pswf_extend`` keeps
+    extensions computed from them on the spectrum.
     """
 
     c: float
     eigenvalues: np.ndarray
     modes: np.ndarray
     rule: QuadratureRule
+    # ((shape, bytes) of the last points pswf_extend saw, every mode's extension there)
+    _extension: tuple | None = field(default=None, init=False, repr=False)
 
     @property
     def n_modes(self) -> int:
@@ -187,8 +192,10 @@ def _require_dense_budget(rows: int, what: str, cols: int | None = None) -> None
     cols = rows if cols is None else cols
     size = 8.0 * rows * cols
     if size > DENSE_BUDGET_BYTES:
+        shape = " x ".join(f"{side:.3g}" if side >= 1e15 else str(side) for side in (rows, cols))
+        need = f"needs {size / 2**30:.3g} GiB, over" if math.isfinite(size) else "is beyond"
         raise ValueError(
-            f"{what} of shape {rows} x {cols} needs {size / 2**30:.3g} GiB, over the "
+            f"{what} of shape {shape} {need} the "
             f"{DENSE_BUDGET_BYTES / 2**30:g} GiB budget for a dense matrix"
         )
 
@@ -308,6 +315,8 @@ def prolate_spectrum(
         nz = np.flatnonzero(np.abs(row) > 1e-8)
         if nz.size and row[nz[0]] < 0:
             row *= -1.0
+    vals.flags.writeable = False
+    modes.flags.writeable = False
 
     return ProlateSpectrum(c=c, eigenvalues=vals, modes=modes, rule=rule)
 
@@ -359,29 +368,41 @@ def pswf_extend(spec: ProlateSpectrum, n: int, x):
     which restricts back to psi_n on (-1, 1).  The integral is evaluated
     with the spectrum's own quadrature rule.
 
+    The first call at a point set evaluates the kernel there once and
+    extends every mode of ``spec`` in one product; ``spec`` keeps those
+    len(x) x n_modes values, so later calls at equal points (compared by
+    value) reuse them for any mode.  A call at other points replaces them.
+
     Parameters
     ----------
     spec : ProlateSpectrum
     n : int
         Mode index, 0 <= n < spec.n_modes.
-    x : float or ndarray
+    x : float or 1-D ndarray
         Evaluation points anywhere on the line.
 
     Returns
     -------
     float or ndarray
+        A new array (or float) the caller may modify.
 
     Raises
     ------
     ValueError
-        Bad mode index, or a len(x) x order kernel that exceeds
-        DENSE_BUDGET_BYTES.
+        Bad mode index, points of more than one dimension, or a
+        len(x) x order kernel that exceeds DENSE_BUDGET_BYTES.
     """
     if not 0 <= n < spec.n_modes:
         raise ValueError(f"mode index {n} out of range (have {spec.n_modes} modes)")
     xs = np.asarray(x, dtype=float)
-    scalar = xs.ndim == 0
+    if xs.ndim > 1:
+        raise ValueError(f"points must be a scalar or a 1-D array, got shape {xs.shape}")
     _require_dense_budget(xs.size, "extension kernel", cols=spec.rule.order)
-    kern = sinc_kernel(spec.c, np.atleast_1d(xs)[:, None], spec.rule.nodes[None, :])
-    vals = kern @ (spec.rule.weights * spec.modes[n]) / spec.eigenvalues[n]
-    return float(vals[0]) if scalar else vals
+    key = (xs.shape, xs.tobytes())
+    cached = spec._extension
+    if cached is None or cached[0] != key:
+        kern = sinc_kernel(spec.c, np.atleast_1d(xs)[:, None], spec.rule.nodes[None, :])
+        weighted = spec.rule.weights[:, None] * spec.modes.T
+        cached = spec._extension = (key, kern @ weighted / spec.eigenvalues)
+    vals = cached[1][:, n]
+    return float(vals[0]) if xs.ndim == 0 else vals.copy()

@@ -432,7 +432,10 @@ def _greedy_match(predicted_desc: np.ndarray, pool: np.ndarray) -> tuple[np.ndar
 
 def _ritz_frequency_count(half_width: float, omega: float) -> int:
     """Number M of Gauss nodes of (0, omega) in the Ritz basis on (-half_width, half_width)."""
-    return math.ceil(omega * half_width / 2) + RITZ_EXTRA_NODES
+    half_band = omega * half_width / 2
+    if not math.isfinite(half_band):
+        raise ValueError(f"omega * L / 2 overflows a float at omega={omega:g}, L={half_width:g}")
+    return math.ceil(half_band) + RITZ_EXTRA_NODES
 
 
 def _ritz_column_bound(half_width: float, n: int, tau: float, omega: float) -> int:

@@ -5,6 +5,7 @@ import json
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from prolate.cli import main
@@ -222,8 +223,22 @@ def test_extreme_finite_arguments_exit_2(args, capsys):
     assert code == 2
     assert out == ""
     assert "error" in err
+    assert len(err) < 300
+    assert "inf" not in err
     if args[0] in ("spectrum", "asymptotics"):
         assert "budget" in err
+
+
+def test_linalg_error_exits_3(monkeypatch, capsys):
+    # LinAlgError subclasses ValueError; it is still a numerical failure, not bad input.
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("QR did not converge")
+
+    monkeypatch.setattr(np.linalg, "qr", fail)
+    code, out, err = run_cli(["sum-spectrum"], capsys)
+    assert code == 3
+    assert out == ""
+    assert "numerical failure" in err
 
 
 def test_oversized_dense_matrix_exits_2_without_allocating(capsys):

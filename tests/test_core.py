@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -286,6 +287,13 @@ def test_extension_mode_range_validated(spec3):
         P.pswf_extend(spec3, 6, 0.0)
 
 
+@pytest.mark.parametrize("shape", [(2, 120), (120, 1), (3, 4)])
+def test_extension_refuses_multidimensional_points(spec3, shape):
+    # Unchecked, a 2-D array broadcasts against the nodes into values of a meaningless shape.
+    with pytest.raises(ValueError, match="1-D"):
+        P.pswf_extend(spec3, 0, np.zeros(shape))
+
+
 def test_extension_refuses_oversized_kernel_before_allocating(spec3):
     # 2^26 points at order 120 would need a 60 GiB kernel; the broadcast
     # view of the points costs no memory.
@@ -297,3 +305,64 @@ def test_extension_refuses_oversized_kernel_before_allocating(spec3):
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def test_extension_kernel_evaluated_once_per_spectrum_and_points(monkeypatch):
+    spec = P.prolate_spectrum(3.0, 6, order=120)
+    calls = []
+    kernel = P.core.sinc_kernel
+    monkeypatch.setattr(P.core, "sinc_kernel", lambda *args: calls.append(1) or kernel(*args))
+    xs = np.linspace(-3.0, 3.0, 50)
+    for n in range(spec.n_modes):
+        P.pswf_extend(spec, n, xs)
+    assert len(calls) == 1
+    P.pswf_extend(spec, 2, xs[:-1])
+    assert len(calls) == 2
+    xs[7] += 0.5  # the same array, mutated in place
+    P.pswf_extend(spec, 2, xs)
+    assert len(calls) == 3
+    P.pswf_extend(spec, 4, xs.copy())
+    assert len(calls) == 3
+    P.pswf_extend(dataclasses.replace(spec), 4, xs)
+    assert len(calls) == 4
+
+
+def test_extension_columns_equal_direct_kernel_product():
+    spec = P.prolate_spectrum(3.0, 6, order=120)
+    xs = np.linspace(-4.0, 4.0, 81)
+    kern = P.sinc_kernel(spec.c, xs[:, None], spec.rule.nodes[None, :])
+    for n in range(spec.n_modes):
+        terms = spec.rule.weights * spec.modes[n]
+        direct = kern @ terms / spec.eigenvalues[n]
+        cached = P.pswf_extend(spec, n, xs)
+        # Relative to the summed magnitudes |k| @ |terms| / lambda_n, the scale of any
+        # summation order's rounding: the plunge modes cancel, |direct| up to 270 times smaller.
+        scale = (np.abs(kern) @ np.abs(terms)).max() / spec.eigenvalues[n]
+        assert np.abs(cached - direct).max() <= 1e-14 * scale
+        again = P.pswf_extend(spec, n, xs)
+        assert np.array_equal(again, cached)
+        again[0] += 1.0  # the caller owns what it gets back
+        assert np.array_equal(P.pswf_extend(spec, n, xs), cached)
+
+
+def test_spectrum_arrays_are_read_only(spec3):
+    with pytest.raises(ValueError):
+        spec3.modes[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        spec3.eigenvalues[0] = 0.5
+
+
+def test_extension_retains_no_kernel():
+    # What stays alive after the call (the extensions of all modes, the key
+    # and the result) is smaller than the len(x) x order kernel.
+    spec = P.prolate_spectrum(3.0, 6, order=120)
+    xs = np.linspace(-4.0, 4.0, 2000)
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        ext = P.pswf_extend(spec, 0, xs)
+        after, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ext.shape == xs.shape
+    assert after - before < xs.size * spec.rule.order * 8

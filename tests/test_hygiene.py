@@ -1,6 +1,10 @@
-"""Static checks on the package source: no unused imports, no unreferenced private functions or methods."""
+"""Checks on the package source: no unused imports, no unreferenced private functions or methods,
+no test-only dependency loaded by ``import prolate``."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -59,3 +63,11 @@ def test_every_method_is_read_as_an_attribute():
         if isinstance(node, ast.FunctionDef) and not node.name.startswith("__") and node.name not in read
     }
     assert unread == set()
+
+
+def test_import_loads_no_test_only_dependency():
+    # Cold CLI runs are dominated by import time; scipy.special alone once took two thirds of it.
+    probe = "import sys, prolate; print(sorted({m.split('.')[0] for m in sys.modules} & {'scipy', 'mpmath', 'hypothesis'}))"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SOURCE.parent), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
