@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ProlateSpectrum, _require_spectrum_at, _resolved_gap
-from .operators import GridFunction, LimitingOperators, build_band_operator
+from .operators import GridFunction, LimitingOperators
 
 __all__ = [
     "GaussianEnvelope",
@@ -161,16 +161,31 @@ def hardy_margin(omega: float, M: float) -> HardyMargin:
     times ||f||^2 (leading term of 1 - sqrt(lambda_0(omega^2))) yet at
     most rhs = M^2/omega exp(-2 omega^2); their ratio 2 sqrt(pi)
     omega^2 / M^2 grows without bound, leaving ||f|| = 0 as the only
-    escape.
+    escape.  Where omega^2, M^2 or the margin leaves the float range,
+    the ValueError names the argument.
     """
     if omega <= 0:
         raise ValueError(f"omega must be positive, got {omega}")
     if M <= 0:
         raise ValueError(f"M must be positive, got {M}")
-    decay = math.exp(-2.0 * omega**2)
+    omega_sq, m_sq = _finite_square(omega, "omega"), _finite_square(M, "M")
+    if m_sq == 0.0:
+        raise ValueError(f"M={M:g} is out of range: M^2 underflows to zero")
+    decay = math.exp(-2.0 * omega_sq)
     lhs = 2.0 * math.sqrt(math.pi) * omega * decay
-    rhs = M**2 / omega * decay
-    return HardyMargin(lhs=lhs, rhs=rhs, ratio=2.0 * math.sqrt(math.pi) * omega**2 / M**2)
+    rhs = m_sq / omega * decay
+    ratio = 2.0 * math.sqrt(math.pi) * omega_sq / m_sq
+    if not math.isfinite(rhs) or not math.isfinite(ratio):
+        raise ValueError(f"omega={omega:g} and M={M:g} are out of range: the margin overflows")
+    return HardyMargin(lhs=lhs, rhs=rhs, ratio=ratio)
+
+
+def _finite_square(value: float, name: str) -> float:
+    """value**2, refused with a ValueError naming ``name`` where it overflows."""
+    try:
+        return value**2
+    except OverflowError:
+        raise ValueError(f"{name}={value:g} is out of range: {name}^2 overflows") from None
 
 
 def _require_unit_norm(f: GridFunction) -> None:
@@ -199,11 +214,11 @@ def concentration_beta(f: GridFunction, Omega: float) -> float:
     function's own grid, which equals the frequency-side integral by the
     projection identity; no second discretization of the transform is
     introduced, and S is applied by FFT without forming its matrix.
+    The form is computed once per (f, Omega) by ``f.band_energy`` and kept
+    on f; the unit-norm check runs on every call.
     """
     _require_unit_norm(f)
-    u = f.weighted()
-    val = float(np.real(np.conj(u) @ build_band_operator(f.grid, Omega).matvec(u)))
-    return math.sqrt(max(val, 0.0))
+    return math.sqrt(max(f.band_energy(Omega), 0.0))
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ O(n k^2) work with no n x n array, and certifies them with a Weyl bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -109,23 +109,33 @@ class LineGrid:
         return float(np.max(np.diff(self.points)))
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class GridFunction:
-    """Complex-valued samples of a function at the points of a LineGrid."""
+    """Complex-valued samples of a function at the points of a LineGrid.
+
+    Frozen: ``values`` is a read-only complex copy of the samples given,
+    so the caller's array stays its own.  ``band_energy`` keeps one
+    energy per bandwidth on the function; ``dataclasses.replace`` gives a
+    function with none kept.
+    """
 
     grid: LineGrid
     values: np.ndarray
+    # omega -> Re <S_omega u, u> for u = sqrt(w) f, filled by band_energy
+    _band_energies: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=complex)
-        if self.values.shape != self.grid.points.shape:
+        values = np.array(self.values, dtype=complex)
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
+        if values.shape != self.grid.points.shape:
             raise ValueError(
-                f"value count {self.values.shape} does not match grid size {self.grid.size}"
+                f"value count {values.shape} does not match grid size {self.grid.size}"
             )
 
     @classmethod
     def from_callable(cls, grid: LineGrid, fn) -> "GridFunction":
-        return cls(grid=grid, values=np.asarray(fn(grid.points), dtype=complex))
+        return cls(grid=grid, values=fn(grid.points))
 
     def weighted(self) -> np.ndarray:
         """Samples scaled by sqrt(w), the representation operators act on."""
@@ -139,6 +149,25 @@ class GridFunction:
         if n == 0.0:
             raise ValueError("cannot normalize the zero function")
         return GridFunction(grid=self.grid, values=self.values / n)
+
+    def band_energy(self, omega: float) -> float:
+        """Band energy Re <S_omega u, u> of u = sqrt(w) f, computed once per omega.
+
+        S_omega is built on the function's grid and applied by FFT on the
+        first call at ``omega``; later calls return the kept value.
+
+        Raises
+        ------
+        ValueError
+            Wherever ``build_band_operator`` refuses omega, on every call;
+            nothing is kept for it.
+        """
+        energy = self._band_energies.get(omega)
+        if energy is None:
+            u = self.weighted()
+            energy = float(np.real(np.conj(u) @ build_band_operator(self.grid, omega).matvec(u)))
+            self._band_energies[omega] = energy
+        return energy
 
 
 def _panel_count(n: int) -> int:
@@ -197,17 +226,21 @@ def build_line_grid(L: float, n: int) -> LineGrid:
     if n < 2:
         raise ValueError(f"need at least 2 grid points, got {n}")
     orders = _panel_orders(n)
-    edges = np.linspace(-L, L, len(orders) + 1)
-    points, weights = [], []
-    for order, lo, hi in zip(orders, edges[:-1], edges[1:]):
+    counts = np.asarray(orders)
+    edges = np.linspace(-L, L, counts.size + 1)
+    mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
+    starts = np.cumsum(counts) - counts
+    points, weights = np.empty(n), np.empty(n)
+    for order in sorted(set(orders)):  # one rule per distinct order, mapped onto its panels at once
         rule = gauss_legendre_rule(order)
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        points.append(mid + half * rule.nodes)
-        weights.append(half * rule.weights)
+        panels = counts == order
+        slots = starts[panels, None] + np.arange(order)
+        points[slots] = mid[panels, None] + half[panels, None] * rule.nodes
+        weights[slots] = half[panels, None] * rule.weights
     return LineGrid(
         half_width=float(L),
-        points=np.concatenate(points),
-        weights=np.concatenate(weights),
+        points=points,
+        weights=weights,
         panel_orders=tuple(orders),
     )
 

@@ -227,6 +227,8 @@ def test_extreme_finite_arguments_exit_2(args, capsys):
     assert "inf" not in err
     if args[0] in ("spectrum", "asymptotics"):
         assert "budget" in err
+    if args[0] == "hardy":
+        assert args[1].lstrip("-") in err  # names the argument out of range
 
 
 def test_linalg_error_exits_3(monkeypatch, capsys):

@@ -305,6 +305,30 @@ def test_beta_rejects_non_unit_function(gauss_grid):
         P.concentration_beta(not_unit, 2.0)
 
 
+def test_kept_beta_equals_beta_of_a_fresh_function(unit_gauss):
+    kept = P.concentration_beta(unit_gauss, 2.0)
+    assert P.concentration_beta(unit_gauss, 2.0) == kept
+    fresh = P.GridFunction(grid=unit_gauss.grid, values=unit_gauss.values)
+    assert P.concentration_beta(fresh, 2.0) == kept
+
+
+def test_landau_pollak_grid_applies_each_band_once_per_function(gauss_grid, monkeypatch):
+    # beta depends on (f, Omega) only: a 5 x 5 grid of windows and bands
+    # over three functions applies S 15 times, not 75.
+    applied, matvec = [], P.BandLimiter.matvec
+    monkeypatch.setattr(P.BandLimiter, "matvec", lambda self, u: applied.append(1) or matvec(self, u))
+    fns = [
+        P.GridFunction.from_callable(gauss_grid, lambda x, s=s: np.exp(-((x - s) ** 2))).normalized()
+        for s in (0.0, 0.5, -1.0)
+    ]
+    sizes = (1.0, 2.0, 3.0, 4.0, 5.0)
+    specs = {(T, W): P.prolate_spectrum(0.5 * T * W, 1) for T in sizes for W in sizes}
+    for f in fns:
+        for (T, W), spec in specs.items():
+            assert P.landau_pollak_check(f, T, W, spec).margin >= -1e-8
+    assert len(applied) == 15
+
+
 # ---------------------------------------------------------------------------
 # Landau-Pollak inequality
 # ---------------------------------------------------------------------------

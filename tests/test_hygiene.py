@@ -1,13 +1,17 @@
 """Checks on the package source: no unused imports, no unreferenced private functions or methods,
-no test-only dependency loaded by ``import prolate``."""
+no test-only dependency loaded by ``import prolate``, no module-level result cache."""
 
 import ast
+import functools
+import importlib
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+import prolate.core
 
 SOURCE = Path(__file__).resolve().parents[1] / "src" / "prolate"
 MODULES = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SOURCE.glob("*.py"))}
@@ -71,3 +75,19 @@ def test_import_loads_no_test_only_dependency():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SOURCE.parent), os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True, timeout=60)
     assert out.stdout.strip() == "[]"
+
+
+def test_no_module_level_result_cache():
+    # Result caches live on their owner (a spectrum, a function), so a benchmark
+    # that repeats an operation times the work, not hits in a process-wide cache.
+    offenders = []
+    for stem in (Path(name).stem for name in MODULES):
+        module = importlib.import_module("prolate" if stem == "__init__" else f"prolate.{stem}")
+        for name, value in vars(module).items():
+            if name.startswith("__") and name.endswith("__") and name != "__all__":
+                continue  # module metadata such as __builtins__ and __path__
+            if isinstance(value, (dict, set, list)) and name != "__all__":
+                offenders.append(f"{stem}.{name}")
+            if isinstance(value, functools._lru_cache_wrapper) and value is not prolate.core.gauss_legendre_rule:
+                offenders.append(f"{stem}.{name}")
+    assert offenders == []

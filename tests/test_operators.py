@@ -1,6 +1,7 @@
 """Tests for the truncated-line grid, the limiting operators, and the
 spectral picture of their sum."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -61,7 +62,10 @@ def test_grid_node_count_exact(n):
     assert P.build_line_grid(4.0, n).size == n
 
 
-@pytest.mark.parametrize("L,n", [(1.0, 7), (4.0, 23), (30.0, 600), (12.5, 601)])
+@pytest.mark.parametrize(
+    "L,n",
+    [(1.0, 7), (4.0, 23), (9.0, 23), (30.0, 600), (60.0, 1200), (120.0, 2400), (12.0, 1200), (12.5, 601), (30.25, 601)],
+)
 def test_grid_panel_layout_matches_per_panel_rules(L, n):
     # Equal-width panels, at most two orders one apart, mirrored about 0;
     # points and weights are bit-identical to one Gauss rule per panel.
@@ -282,6 +286,53 @@ def test_grid_function_guards(gauss_grid):
     assert zero.norm() == 0.0
     with pytest.raises(ValueError):
         zero.normalized()
+
+
+def test_grid_function_values_are_a_read_only_copy(gauss_grid):
+    raw = np.exp(-(gauss_grid.points**2)).astype(complex)
+    expected = raw.copy()
+    f = P.GridFunction(grid=gauss_grid, values=raw)
+    assert not np.shares_memory(f.values, raw)
+    with pytest.raises(ValueError):
+        f.values[0] = 0.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        f.values = raw
+    raw[0] = 7.0  # the caller's array stays its own and writable
+    assert np.array_equal(f.values, expected)
+
+
+@pytest.fixture
+def band_builds(monkeypatch):
+    # Records the bandwidth of every band limiter that band_energy builds.
+    built, build = [], P.operators.build_band_operator
+    monkeypatch.setattr(P.operators, "build_band_operator", lambda grid, omega: built.append(omega) or build(grid, omega))
+    return built
+
+
+def test_band_energy_computed_once_per_function_and_bandwidth(gauss_grid, band_builds):
+    f = P.GridFunction.from_callable(gauss_grid, lambda x: np.exp(-(x**2)))
+    energy = f.band_energy(2.0)
+    assert f.band_energy(2.0) == energy
+    assert band_builds == [2.0]
+    f.band_energy(3.0)  # another bandwidth
+    assert band_builds == [2.0, 3.0]
+    same = P.GridFunction(grid=gauss_grid, values=f.values)  # another function, equal values
+    assert same.band_energy(2.0) == energy
+    assert band_builds == [2.0, 3.0, 2.0]
+    copy = dataclasses.replace(f)  # a copy starts with nothing kept
+    assert copy.band_energy(2.0) == energy
+    assert band_builds == [2.0, 3.0, 2.0, 2.0]
+    f.band_energy(2.0), f.band_energy(3.0)  # the original keeps both
+    assert len(band_builds) == 4
+
+
+@pytest.mark.parametrize("omega", [0.0, -1.0, 100.0])
+def test_band_energy_refuses_bad_bandwidth_on_every_call(gauss_grid, band_builds, omega):
+    f = P.GridFunction.from_callable(gauss_grid, lambda x: np.exp(-(x**2)))
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            f.band_energy(omega)
+    assert band_builds == [omega, omega]
 
 
 def test_norm_identities_on_random_functions(ops600):
