@@ -59,7 +59,7 @@ class GaussianEnvelope:
     b: float
 
     def __post_init__(self):
-        if self.M <= 0 or self.a <= 0 or self.b <= 0:
+        if not (self.M > 0 and self.a > 0 and self.b > 0):
             raise ValueError(f"envelope parameters must be positive, got {self}")
 
 
@@ -70,14 +70,14 @@ def time_tail_bound(env: GaussianEnvelope, tau: float) -> float:
     it dominates the exact envelope tail because the tail integrand is
     majorized using x/tau >= 1.
     """
-    if tau <= 0:
+    if not tau > 0:
         raise ValueError(f"tau must be positive, got {tau}")
     return env.M**2 / (env.a * tau) * math.exp(-env.a * tau**2)
 
 
 def freq_tail_bound(env: GaussianEnvelope, omega: float) -> float:
     """Closed-form bound M^2/(b omega) exp(-b omega^2) on the frequency-tail energy."""
-    if omega <= 0:
+    if not omega > 0:
         raise ValueError(f"omega must be positive, got {omega}")
     return env.M**2 / (env.b * omega) * math.exp(-env.b * omega**2)
 
@@ -88,9 +88,9 @@ def exact_gaussian_tail(a: float, tau: float) -> float:
     Evaluates sqrt(pi/a) * erfc(sqrt(a) tau); the complementary error
     function keeps full relative accuracy deep in the tail.
     """
-    if a <= 0:
+    if not a > 0:
         raise ValueError(f"decay rate a must be positive, got {a}")
-    if tau < 0:
+    if not tau >= 0:
         raise ValueError(f"tau must be nonnegative, got {tau}")
     return math.sqrt(math.pi / a) * math.erfc(math.sqrt(a) * tau)
 
@@ -164,9 +164,9 @@ def hardy_margin(omega: float, M: float) -> HardyMargin:
     escape.  Where omega^2, M^2 or the margin leaves the float range,
     the ValueError names the argument.
     """
-    if omega <= 0:
+    if not omega > 0:
         raise ValueError(f"omega must be positive, got {omega}")
-    if M <= 0:
+    if not M > 0:
         raise ValueError(f"M must be positive, got {M}")
     omega_sq, m_sq = _finite_square(omega, "omega"), _finite_square(M, "M")
     if m_sq == 0.0:
@@ -189,13 +189,13 @@ def _finite_square(value: float, name: str) -> float:
 
 
 def _require_unit_norm(f: GridFunction) -> None:
-    if abs(f.norm() - 1.0) > 1e-8:
+    if not abs(f.norm() - 1.0) <= 1e-8:
         raise ValueError(f"function must have unit norm, got ||f|| = {f.norm():.10f}")
 
 
 def concentration_alpha(f: GridFunction, T_width: float) -> float:
     """Time concentration alpha = (integral_{|t| < T/2} |f|^2)^(1/2) of a unit-norm f."""
-    if T_width <= 0:
+    if not T_width > 0:
         raise ValueError(f"T_width must be positive, got {T_width}")
     if T_width / 2.0 >= f.grid.half_width:
         raise ValueError(
@@ -225,8 +225,6 @@ def concentration_beta(f: GridFunction, Omega: float) -> float:
 class LandauPollakReport:
     """One evaluation of the Landau-Pollak concentration inequality."""
 
-    T_width: float
-    Omega: float
     alpha: float
     beta: float
     lhs: float
@@ -253,8 +251,6 @@ def landau_pollak_check(
     lhs = math.acos(min(alpha, 1.0)) + math.acos(min(beta, 1.0))
     rhs = math.acos(min(math.sqrt(spec.eigenvalues[0]), 1.0))
     return LandauPollakReport(
-        T_width=T_width,
-        Omega=Omega,
         alpha=alpha,
         beta=beta,
         lhs=lhs,
@@ -324,9 +320,9 @@ def alt_proof_chain(omega: float, M: float, spec: ProlateSpectrum) -> AltProofRe
         (for omega above about 4.03), so arccos(sqrt(lambda_0)) would be
         roundoff.
     """
-    if omega < 1.5:
+    if not omega >= 1.5:
         raise ValueError(f"omega must be >= 1.5 (asymptotic regime), got {omega}")
-    if M <= 0:
+    if not M > 0:
         raise ValueError(f"M must be positive, got {M}")
     _require_spectrum_at(spec, omega * omega, "the chain at omega^2")
     # alpha of the normalized Gaussian over (-omega, omega), exactly.

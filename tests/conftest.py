@@ -35,6 +35,16 @@ LAM0 = {
 }
 
 
+def dense_S(grid, omega):
+    """Dense band limiter S_omega on ``grid``, assembled directly from the sinc kernel."""
+    return P.nystrom_matrix(omega, grid.points, grid.weights)
+
+
+def dense_T(ops):
+    """Dense T = chi + S of ``ops``."""
+    return dense_S(ops.grid, ops.omega) + np.diag(ops.chi)
+
+
 @pytest.fixture(scope="session")
 def spec3():
     return P.prolate_spectrum(3.0, 6, order=120)

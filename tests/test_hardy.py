@@ -10,6 +10,7 @@ import pytest
 from scipy.special import erf
 
 import prolate as P
+from conftest import dense_S
 
 
 @pytest.fixture(scope="module")
@@ -130,7 +131,7 @@ def test_quadratic_form_decomposition(ops600):
     q = P.quadratic_form(f, ops600)
     u = f.weighted()
     expected = 2 * np.vdot(u, u).real - np.vdot(u, ops600.chi * u).real - np.vdot(
-        u, ops600.band.dense() @ u
+        u, dense_S(ops600.grid, ops600.omega) @ u
     ).real
     assert q.value == pytest.approx(q.time_part + q.band_part, rel=1e-12)
     assert q.value == pytest.approx(float(expected), rel=1e-10)
@@ -273,7 +274,7 @@ def test_beta_saturates_for_wide_band():
 def test_beta_matches_dense_quadratic_form(unit_gauss, masked_top_mode, Omega):
     for f in (unit_gauss, masked_top_mode):
         u = f.weighted()
-        dense = P.build_band_operator(f.grid, Omega).dense()
+        dense = dense_S(f.grid, Omega)
         expected = math.sqrt(float(np.vdot(u, dense @ u).real))
         assert P.concentration_beta(f, Omega) == pytest.approx(expected, abs=1e-13)
 
@@ -291,7 +292,7 @@ def test_chains_allocate_no_dense_matrix():
         P.concentration_beta(f, 3.0)
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
-        ops.band.dense()
+        dense_S(grid, 2.0)
         _, dense_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -452,6 +453,9 @@ def test_alt_chain_gap_asymptotic_link(spec2):
     # shrinks as omega grows.
     spec4 = P.prolate_spectrum(4.0, 1, order=120)
     rep2 = P.alt_proof_chain(2.0, 1.0, spec4)
+    assert rep2.acos_lambda_numeric == math.acos(math.sqrt(spec4.eigenvalues[0]))
+    assert rep2.acos_lambda_asymptotic == pytest.approx(2 * math.pi**0.25 * math.sqrt(2.0) * math.exp(-4.0), rel=1e-15)
+    assert rep2.asymptotic_ratio == rep2.acos_lambda_numeric / rep2.acos_lambda_asymptotic
     assert 0.7 < rep2.asymptotic_ratio < 1.3
     spec6 = P.prolate_spectrum(6.25, 1, order=140)
     rep25 = P.alt_proof_chain(2.5, 1.0, spec6)
@@ -466,3 +470,66 @@ def test_alt_chain_validates_arguments(spec2):
         P.alt_proof_chain(2.0, 1.0, spec2)
     with pytest.raises(ValueError):
         P.alt_proof_chain(2.0, 0.0, spec4)
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "call,error,message",
+    [
+        pytest.param(lambda f: P.concentration_alpha(f, NAN), ValueError, "T_width must be positive", id="alpha"),
+        pytest.param(lambda f: P.concentration_beta(f, NAN), ValueError, "omega must be positive", id="beta"),
+        pytest.param(
+            lambda f: P.concentration_alpha(P.GridFunction(f.grid, f.values * NAN), 2.0),
+            ValueError,
+            "unit norm",
+            id="alpha-nan-function",
+        ),
+        pytest.param(
+            lambda f: P.landau_pollak_check(f, NAN, 2.0, P.prolate_spectrum(1.0, 1)),
+            ValueError,
+            "needs c=nan",
+            id="landau-pollak",
+        ),
+        pytest.param(lambda f: P.build_line_grid(NAN, 10), ValueError, "L must be positive", id="line-grid"),
+        pytest.param(lambda f: P.build_time_limiter(f.grid, NAN), ValueError, "tau must be positive", id="chi"),
+        pytest.param(lambda f: P.build_band_operator(f.grid, NAN), ValueError, "omega must be positive", id="S"),
+        pytest.param(lambda f: P.GaussianEnvelope(M=NAN, a=2.0, b=2.0), ValueError, "positive", id="envelope-M"),
+        pytest.param(lambda f: P.GaussianEnvelope(M=1.0, a=NAN, b=2.0), ValueError, "positive", id="envelope-a"),
+        pytest.param(lambda f: P.GaussianEnvelope(M=1.0, a=2.0, b=NAN), ValueError, "positive", id="envelope-b"),
+        pytest.param(lambda f: P.sinc_kernel(NAN, 0.5, 0.0), ValueError, "c must be positive", id="sinc-kernel"),
+        pytest.param(
+            lambda f: P.time_tail_bound(P.GaussianEnvelope(1.0, 2.0, 2.0), NAN),
+            ValueError,
+            "tau must be positive",
+            id="time-tail",
+        ),
+        pytest.param(
+            lambda f: P.freq_tail_bound(P.GaussianEnvelope(1.0, 2.0, 2.0), NAN),
+            ValueError,
+            "omega must be positive",
+            id="freq-tail",
+        ),
+        pytest.param(lambda f: P.lambda0_asymptotic(NAN), ValueError, "c must be positive", id="lambda0-asymptotic"),
+        pytest.param(lambda f: P.exact_gaussian_tail(NAN, 1.0), ValueError, "a must be positive", id="exact-tail-a"),
+        pytest.param(lambda f: P.exact_gaussian_tail(2.0, NAN), ValueError, "nonnegative", id="exact-tail-tau"),
+        pytest.param(
+            lambda f: P.alt_proof_chain(NAN, 1.0, P.prolate_spectrum(4.0, 1)), ValueError, "1.5", id="alt-chain-omega"
+        ),
+        pytest.param(
+            lambda f: P.alt_proof_chain(2.0, NAN, P.prolate_spectrum(4.0, 1)),
+            ValueError,
+            "M must be positive",
+            id="alt-chain-M",
+        ),
+        pytest.param(lambda f: P.prolate_spectrum(NAN, 1), ValueError, "c must be positive", id="spectrum"),
+        pytest.param(lambda f: P.hardy_margin(NAN, 1.0), ValueError, "omega must be positive", id="margin-omega"),
+        pytest.param(lambda f: P.hardy_margin(1.0, NAN), ValueError, "M must be positive", id="margin-M"),
+        pytest.param(lambda f: P.asymptotic_gap_ratio(2.0, NAN), P.NumericalFailure, "roundoff", id="gap-ratio"),
+    ],
+)
+def test_nan_arguments_are_refused(unit_gauss, call, error, message):
+    # NaN fails every comparison, so each guard is written to fail closed on it.
+    with pytest.raises(error, match=message):
+        call(unit_gauss)

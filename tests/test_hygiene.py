@@ -1,4 +1,4 @@
-"""Checks on the package source: no unused imports, no unreferenced private functions or methods,
+"""Checks on the package source: no unused imports, no unreferenced private functions, methods or fields,
 no test-only dependency loaded by ``import prolate``, no module-level result cache."""
 
 import ast
@@ -14,6 +14,7 @@ import pytest
 import prolate.core
 
 SOURCE = Path(__file__).resolve().parents[1] / "src" / "prolate"
+TESTS = Path(__file__).resolve().parent
 MODULES = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SOURCE.glob("*.py"))}
 
 
@@ -51,13 +52,18 @@ def test_every_private_function_is_referenced():
     assert private - used == set()
 
 
-def test_every_method_is_read_as_an_attribute():
-    read = {
+def loaded_attributes(trees) -> set[str]:
+    """Names read (not assigned) as attributes anywhere in ``trees``."""
+    return {
         node.attr
-        for tree in MODULES.values()
+        for tree in trees
         for node in ast.walk(tree)
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
     }
+
+
+def test_every_method_is_read_as_an_attribute():
+    read = loaded_attributes(MODULES.values())
     unread = {
         f"{cls.name}.{node.name}"
         for tree in MODULES.values()
@@ -65,6 +71,21 @@ def test_every_method_is_read_as_an_attribute():
         if isinstance(cls, ast.ClassDef)
         for node in cls.body
         if isinstance(node, ast.FunctionDef) and not node.name.startswith("__") and node.name not in read
+    }
+    assert unread == set()
+
+
+def test_every_field_is_read_as_an_attribute():
+    # A field is read somewhere in the package or its tests, or it should not be stored.
+    tests = (ast.parse(path.read_text(encoding="utf-8")) for path in TESTS.glob("*.py"))
+    read = loaded_attributes([*MODULES.values(), *tests])
+    unread = {
+        f"{cls.name}.{node.target.id}"
+        for tree in MODULES.values()
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name) and node.target.id not in read
     }
     assert unread == set()
 

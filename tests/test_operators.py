@@ -11,7 +11,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import prolate as P
-from prolate.core import NumericalFailure, gauss_legendre_rule, sinc_kernel
+from conftest import dense_S, dense_T
+from prolate.core import NumericalFailure, gauss_legendre_rule
 
 # Idempotency defect of the truncated band limiter.  The domain cutoff
 # turns the plunge modes of the projection into eigenvalues near 1/2, so
@@ -143,7 +144,7 @@ def test_time_limiter_rejects_bad_window(grid600):
 
 
 def test_band_limiter_symmetric_and_contractive(ops600):
-    s = ops600.band.dense()
+    s = dense_S(ops600.grid, ops600.omega)
     assert np.array_equal(s, s.T)
     evals = np.linalg.eigvalsh(s)
     assert evals.min() > -1e-8
@@ -154,7 +155,7 @@ def test_band_limiter_trace_is_shannon_density(ops600):
     # The kernel diagonal is omega/pi, so the trace is exactly
     # 2 * L * omega / pi.
     expected = 2 * 30.0 * 3.0 / math.pi
-    assert np.trace(ops600.band.dense()) == pytest.approx(expected, rel=1e-12)
+    assert np.trace(dense_S(ops600.grid, ops600.omega)) == pytest.approx(expected, rel=1e-12)
 
 
 def test_band_limiter_matches_gaussian_closed_form(gauss_ops):
@@ -188,7 +189,7 @@ def test_band_limiter_fixes_bandlimited_function_to_truncation_floor(ops600):
 
 
 def test_band_limiter_idempotency_defect_is_order_one(ops600):
-    s = ops600.band.dense()
+    s = dense_S(ops600.grid, ops600.omega)
     assert np.array_equal(s, s.T)
     assert DEFECT_RANGE[0] < np.linalg.norm(s @ s - s, 2) < DEFECT_RANGE[1]
 
@@ -196,19 +197,14 @@ def test_band_limiter_idempotency_defect_is_order_one(ops600):
 def test_band_limiter_rejects_coarse_grid():
     grid = P.build_line_grid(10.0, 12)
     with pytest.raises(ValueError, match="h\\*omega"):
-        P.build_band_operator(grid, 1.0).dense()
+        P.build_band_operator(grid, 1.0)
 
 
 def test_band_limiter_rejects_nonpositive_bandwidth(grid600):
     with pytest.raises(ValueError):
-        P.build_band_operator(grid600, 0.0).dense()
+        P.build_band_operator(grid600, 0.0)
     with pytest.raises(ValueError):
-        P.build_band_operator(grid600, -3.0).dense()
-
-
-def dense_sinc_oracle(grid, omega):
-    sq = np.sqrt(grid.weights)
-    return sq[:, None] * sinc_kernel(omega, grid.points[:, None], grid.points[None, :]) * sq[None, :]
+        P.build_band_operator(grid600, -3.0)
 
 
 @pytest.mark.parametrize(
@@ -220,7 +216,7 @@ def test_band_matvec_matches_dense_oracle(L, n, omega):
     # (23, 601), on real and complex vectors.
     grid = P.build_line_grid(L, n)
     band = P.build_band_operator(grid, omega)
-    oracle = dense_sinc_oracle(grid, omega)
+    oracle = dense_S(grid, omega)
     rng = np.random.default_rng(n)
     real = rng.standard_normal(n)
     for u in (real, real + 1j * rng.standard_normal(n)):
@@ -228,6 +224,9 @@ def test_band_matvec_matches_dense_oracle(L, n, omega):
         got = band.matvec(u)
         assert np.iscomplexobj(got) == np.iscomplexobj(u)
         assert np.linalg.norm(got - expected) <= 1e-13 * np.linalg.norm(expected)
+    # The Ritz step's eigvalsh reads one triangle of q^T S q, so S must be self-adjoint to roundoff.
+    v = rng.standard_normal(n)
+    assert abs(v @ band.matvec(real) - real @ band.matvec(v)) <= 1e-15 * np.linalg.norm(real) * np.linalg.norm(v)
 
 
 def test_band_matvec_applies_to_columns(ops600):
@@ -240,20 +239,6 @@ def test_band_matvec_applies_to_columns(ops600):
     for shape in ((599,), (599, 2), (600, 2, 1)):
         with pytest.raises(ValueError, match="shape"):
             band.matvec(np.zeros(shape))
-
-
-def test_band_limiter_gathered_exactly_symmetric_on_mixed_orders():
-    grid = P.build_line_grid(12.5, 601)
-    assert len(set(grid.panel_orders)) == 2
-    s = P.build_band_operator(grid, 3.0).dense()
-    assert np.array_equal(s, s.T)
-    oracle = dense_sinc_oracle(grid, 3.0)
-    assert np.abs(s - oracle).max() <= 1e-13 * np.abs(oracle).max()
-
-
-def test_dense_T_is_S_plus_chi(ops600):
-    s, t = ops600.band.dense(), ops600.dense()
-    assert np.array_equal(t, s + np.diag(ops600.chi))
 
 
 def test_band_operator_needs_panel_layout():
@@ -340,7 +325,7 @@ def test_norm_identities_on_random_functions(ops600):
     # 0 <= <S u, u> <= ||u||^2, and the idempotency defect bounds
     # ||S u||^2 - <S u, u>.
     rng = np.random.default_rng(7)
-    s = ops600.band.dense()
+    s = dense_S(ops600.grid, ops600.omega)
     defect = float(np.linalg.norm(s @ s - s, 2))
     m = ops600.grid.size
     for _ in range(200):
@@ -408,8 +393,8 @@ def test_sum_spectrum_depends_only_on_product():
     grid = P.build_line_grid(40.0, 800)
     a = P.build_limiting_operators(grid, tau=1.0, omega=3.0)
     b = P.build_limiting_operators(grid, tau=2.0, omega=1.5)
-    top_a = np.linalg.eigvalsh(a.dense()).max()
-    top_b = np.linalg.eigvalsh(b.dense()).max()
+    top_a = np.linalg.eigvalsh(dense_T(a)).max()
+    top_b = np.linalg.eigvalsh(dense_T(b)).max()
     assert abs(top_a - top_b) < 5e-4
 
 
@@ -422,8 +407,8 @@ def test_sum_spectrum_invariant_under_dilation(s, L_scaled):
     scaled = P.build_limiting_operators(
         P.build_line_grid(L_scaled, 400), tau=s, omega=3.0 / s
     )
-    e_base = np.linalg.eigvalsh(base.dense())
-    e_scaled = np.linalg.eigvalsh(scaled.dense())
+    e_base = np.linalg.eigvalsh(dense_T(base))
+    e_scaled = np.linalg.eigvalsh(dense_T(scaled))
     assert np.abs(e_base - e_scaled).max() < 1e-12
 
 
@@ -453,20 +438,6 @@ def test_sum_spectrum_default_reference_resolves_large_c():
     ops = P.build_limiting_operators(P.build_line_grid(20.0, 1000), tau=10.0, omega=15.0)
     report = P.sum_operator_spectrum(ops, 4)
     assert report.predicted_above.size == 4
-
-
-def test_dense_views_refuse_oversized_grid_before_allocating():
-    n = 12000  # 8 n^2 bytes exceeds the 1 GiB budget
-    ops = P.build_limiting_operators(P.build_line_grid(600.0, n), tau=1.0, omega=3.0)
-    tracemalloc.start()
-    try:
-        for dense in (ops.band.dense, ops.dense):
-            with pytest.raises(ValueError, match="budget"):
-                dense()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 2**20
 
 
 def test_sum_spectrum_keeps_no_dense_matrix():
@@ -511,7 +482,7 @@ def test_sum_spectrum_parity_split_matches_full_solve(L, n, tau, omega):
     grid = P.build_line_grid(L, n) if isinstance(n, int) else panel_grid(L, n)
     ops = P.build_limiting_operators(grid, tau=tau, omega=omega)
     report = P.sum_operator_spectrum(ops, 4)
-    full = np.linalg.eigvalsh(ops.dense())[::-1]
+    full = np.linalg.eigvalsh(dense_T(ops))[::-1]
     assert np.abs(report.computed_eigenvalues - full).max() <= 1e-13
 
 
@@ -531,7 +502,7 @@ def test_sum_spectrum_ritz_values_match_full_solve(L, omega, tau_fraction, extra
     ops = P.build_limiting_operators(grid, tau=tau, omega=omega)
     assume(ops.chi.any())  # else T = S has no eigenvalue above 1 to match
     report = P.sum_operator_spectrum(ops, 1)
-    full = np.linalg.eigvalsh(ops.dense())[::-1]
+    full = np.linalg.eigvalsh(dense_T(ops))[::-1]
     assert np.abs(report.computed_eigenvalues - full).max() <= 1e-13
     assert report.ritz_bound <= 1e-12
 
