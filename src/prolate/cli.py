@@ -88,7 +88,7 @@ def _render(command: str, columns: list[str], rows: list[list], fmt: str) -> str
 
 
 def cmd_spectrum(args) -> tuple[list[str], list[list], str]:
-    spec = prolate_spectrum(args.c, args.modes, order=args.order, force=args.force)
+    spec = prolate_spectrum(args.c, args.modes)
     # Mode 0 has the smallest resolved gap, so it is the first row refused.
     rows = [
         [n, float(lam), float(_resolved_gap(args.c, lam))]
@@ -119,7 +119,7 @@ def cmd_sum_spectrum(args) -> tuple[list[str], list[list], str]:
     _require_dense_budget(args.n, "Ritz basis of chi + S", cols=columns)
     grid = build_line_grid(args.L, args.n)
     ops = build_limiting_operators(grid, args.tau, args.omega)
-    report = sum_operator_spectrum(ops, args.modes)
+    report = sum_operator_spectrum(ops, args.modes, prolate_spectrum(ops.c, args.modes))
     rows = [
         [k, side, float(matched[k]), float(predicted[k]), float(residuals[k])]
         for side, matched, predicted, residuals in (
@@ -201,8 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectrum", help="leading sinc-kernel eigenvalues at one c")
     p.add_argument("--c", type=_finite_float, default=3.0)
     p.add_argument("--modes", type=int, default=6)
-    p.add_argument("--order", type=int, default=None, help="quadrature order (default: auto)")
-    p.add_argument("--force", action="store_true", help="accept an under-resolving order")
     add_io(p)
     p.set_defaults(run=cmd_spectrum)
 

@@ -151,8 +151,8 @@ def sinc_kernel(c: float, x, y):
     -------
     float or ndarray
     """
-    if not c > 0:
-        raise ValueError(f"bandwidth parameter c must be positive, got {c}")
+    if not c > 0 or not math.isfinite(c):
+        raise ValueError(f"bandwidth parameter c must be positive and finite, got {c}")
     t = c * (np.asarray(x, dtype=float) - np.asarray(y, dtype=float))
     on_diagonal = t == 0.0
     safe = np.where(on_diagonal, 1.0, t)
@@ -178,7 +178,11 @@ def min_quadrature_order(c: float) -> int:
 
     Gauss-Legendre nodes need about c points on (-1, 1) to resolve the
     kernel; the Shannon count 2c/pi is too few for large c, where the
-    top eigenvalue then overshoots 1.
+    top eigenvalue then overshoots 1.  ``prolate_spectrum`` uses this
+    order by default and refuses any smaller one.  The fixed margin of
+    30 nodes falls short at large c (from about 350 for eight modes),
+    where the top eigenvalue exceeds 1 + GAP_FLOOR and
+    ``prolate_spectrum`` refuses the result.
     """
     return math.ceil(c) + 30
 
@@ -240,12 +244,7 @@ def _parity_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vals, vecs
 
 
-def prolate_spectrum(
-    c: float,
-    n_modes: int,
-    order: int | None = None,
-    force: bool = False,
-) -> ProlateSpectrum:
+def prolate_spectrum(c: float, n_modes: int, order: int | None = None) -> ProlateSpectrum:
     """Leading eigenvalues and eigenfunction samples of the sinc-kernel operator.
 
     Parameters
@@ -255,10 +254,9 @@ def prolate_spectrum(
     n_modes : int
         Number of leading eigenpairs to keep; must not exceed ``order``.
     order : int, optional
-        Quadrature order.  Defaults to the minimum admissible order
-        ``ceil(c) + 30`` (never below ``n_modes``).
-    force : bool
-        Accept an explicit ``order`` below the admissible minimum.
+        Quadrature order, at least ``min_quadrature_order(c)``.  Defaults
+        to that minimum (never below ``n_modes``); a larger order moves
+        the eigenvalues only by roundoff.
 
     Returns
     -------
@@ -267,14 +265,18 @@ def prolate_spectrum(
     Raises
     ------
     ValueError
-        Bad arguments, an order whose Nystrom matrix exceeds
-        DENSE_BUDGET_BYTES, or requested modes reach the eigensolver
-        noise floor 1e-12 where eigenvalues are meaningless.
+        Bad arguments (c not positive and finite, or an order below
+        ``min_quadrature_order(c)``), an order whose Nystrom matrix
+        exceeds DENSE_BUDGET_BYTES, or requested modes reach the
+        eigensolver noise floor 1e-12 where eigenvalues are meaningless.
     NumericalFailure
-        The dense symmetric eigensolver did not converge.
+        The dense symmetric eigensolver did not converge, or a returned
+        eigenvalue exceeds 1 + GAP_FLOOR: the operator's norm is below 1,
+        so the order under-resolves the top of the spectrum (at the
+        default order, from c of about 350 for eight modes).
     """
-    if not c > 0:
-        raise ValueError(f"bandwidth parameter c must be positive, got {c}")
+    if not c > 0 or not math.isfinite(c):
+        raise ValueError(f"bandwidth parameter c must be positive and finite, got {c}")
     if n_modes < 1:
         raise ValueError(f"n_modes must be >= 1, got {n_modes}")
     min_order = min_quadrature_order(c)
@@ -282,10 +284,10 @@ def prolate_spectrum(
         order = max(min_order, n_modes)
     if n_modes > order:
         raise ValueError(f"n_modes={n_modes} exceeds quadrature order {order}")
-    if order < min_order and not force:
+    if order < min_order:
         raise ValueError(
             f"order {order} under-resolves the spectrum at c={c}: "
-            f"need at least ceil(c)+30 = {min_order} (use force to override)"
+            f"need at least ceil(c)+30 = {min_order}"
         )
     _require_dense_budget(order, "Nystrom matrix")
 
@@ -299,6 +301,11 @@ def prolate_spectrum(
         )
 
     vals = vals[:n_modes].copy()
+    if vals.max() > 1.0 + GAP_FLOOR:
+        raise NumericalFailure(
+            f"eigenvalue {vals.max():.17g} exceeds 1 + {GAP_FLOOR:.3g} at c={c:g}, "
+            f"order {order}: the quadrature under-resolves the top of the spectrum"
+        )
     vecs = vecs[:, :n_modes]
     sq = np.sqrt(rule.weights)
     modes = (vecs / sq[:, None]).T  # row n: psi_n at the nodes, weighted-orthonormal
@@ -320,8 +327,8 @@ def lambda0_asymptotic(c: float) -> float:
     The dropped correction is a relative 1 + O(1/c) factor on the gap
     1 - lambda_0.
     """
-    if not c > 0:
-        raise ValueError(f"bandwidth parameter c must be positive, got {c}")
+    if not c > 0 or not math.isfinite(c):
+        raise ValueError(f"bandwidth parameter c must be positive and finite, got {c}")
     return 1.0 - 4.0 * math.sqrt(math.pi) * math.sqrt(c) * math.exp(-2.0 * c)
 
 

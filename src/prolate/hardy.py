@@ -147,7 +147,7 @@ def min_eig_lower_bound(lambda0: float) -> float:
 
 @dataclass(frozen=True)
 class HardyMargin:
-    """Competing coefficients whose ratio forces ||f|| = 0 as omega grows."""
+    """Competing coefficients whose ratio, growing with omega, implies ||f|| = 0."""
 
     lhs: float
     rhs: float

@@ -41,7 +41,6 @@ from .core import (
     _require_spectrum_at,
     _symmetric_eigdesc,
     gauss_legendre_rule,
-    prolate_spectrum,
     pswf_extend,
     sinc_kernel,
 )
@@ -219,8 +218,8 @@ def build_line_grid(L: float, n: int) -> LineGrid:
     -------
     LineGrid
     """
-    if not L > 0:
-        raise ValueError(f"half-width L must be positive, got {L}")
+    if not L > 0 or not math.isfinite(L):
+        raise ValueError(f"half-width L must be positive and finite, got {L}")
     if n < 2:
         raise ValueError(f"need at least 2 grid points, got {n}")
     orders = _panel_orders(n)
@@ -516,9 +515,7 @@ def _ritz_eigenvalues(ops: LimitingOperators, q: np.ndarray) -> tuple[np.ndarray
 
 
 def sum_operator_spectrum(
-    ops: LimitingOperators,
-    n_report: int,
-    spec: ProlateSpectrum | None = None,
+    ops: LimitingOperators, n_report: int, spec: ProlateSpectrum
 ) -> SumSpectrumReport:
     """Eigenvalues of T = chi + S against the 1 +/- sqrt(lambda_n) pairs.
 
@@ -536,9 +533,9 @@ def sum_operator_spectrum(
     ops : LimitingOperators
     n_report : int
         Number of eigenvalue pairs to match on each side of 1.
-    spec : ProlateSpectrum, optional
-        Reference sinc-kernel spectrum at c = omega * tau.  Computed on
-        demand at the default quadrature order when omitted.
+    spec : ProlateSpectrum
+        Reference sinc-kernel spectrum at c = omega * tau with at least
+        ``n_report`` modes, for instance ``prolate_spectrum(ops.c, n_report)``.
 
     Returns
     -------
@@ -547,7 +544,8 @@ def sum_operator_spectrum(
     Raises
     ------
     ValueError
-        Bad arguments, or a basis over the dense-matrix budget.
+        Bad arguments, a reference spectrum at another c or with too few
+        modes, or a basis over the dense-matrix budget.
     NumericalFailure
         The Weyl bound exceeds ``RITZ_TOLERANCE``, or the eigensolver failed.
     """
@@ -555,8 +553,6 @@ def sum_operator_spectrum(
         raise ValueError(f"n_report must be >= 1, got {n_report}")
     if n_report > ops.grid.size:
         raise ValueError(f"n_report={n_report} exceeds grid size {ops.grid.size}")
-    if spec is None:
-        spec = prolate_spectrum(ops.c, n_report)
     _require_spectrum_at(spec, ops.c, "chi + S at omega*tau")
     if spec.n_modes < n_report:
         raise ValueError(f"reference spectrum has {spec.n_modes} modes, need {n_report}")
@@ -590,7 +586,6 @@ def eigenfunction_witness(
     ops: LimitingOperators,
     n: int,
     sign: int,
-    eigenvalue_shift: float = 0.0,
 ) -> float:
     """Relative residual of the assembled eigenfunction of T at 1 + sign*sqrt(lambda_n).
 
@@ -609,9 +604,6 @@ def eigenfunction_witness(
         Mode index.
     sign : int
         +1 or -1, selecting the branch of 1 +/- sqrt(lambda_n).
-    eigenvalue_shift : float
-        Added to lambda; a nonzero shift is a negative control that must
-        inflate the residual.
 
     Returns
     -------
@@ -622,7 +614,7 @@ def eigenfunction_witness(
         raise ValueError(f"sign must be +1 or -1, got {sign}")
     _require_spectrum_at(spec, ops.c, "chi + S at omega*tau")
     ext = pswf_extend(spec, n, ops.grid.points / ops.tau)  # refuses a bad mode index
-    lam = 1.0 + sign * np.sqrt(spec.eigenvalues[n]) + eigenvalue_shift
+    lam = 1.0 + sign * np.sqrt(spec.eigenvalues[n])
     inside = ops.chi > 0.5
     f = np.where(inside, lam * ext, (lam - 1.0) * ext)
     u = np.sqrt(ops.grid.weights) * f

@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -43,6 +46,13 @@ def dense_S(grid, omega):
 def dense_T(ops):
     """Dense T = chi + S of ``ops``."""
     return dense_S(ops.grid, ops.omega) + np.diag(ops.chi)
+
+
+def with_shifted_root(spec, shift):
+    """``spec`` with sqrt(lambda_0) moved by ``shift``: a wrong eigenvalue for a negative control."""
+    lam = spec.eigenvalues.copy()
+    lam[0] = (math.sqrt(lam[0]) + shift) ** 2
+    return dataclasses.replace(spec, eigenvalues=lam)
 
 
 @pytest.fixture(scope="session")

@@ -15,7 +15,7 @@ import pytest
 import prolate as P
 from prolate.cli import main
 
-from conftest import ACCEPTANCE_VERDICTS, dense_T
+from conftest import ACCEPTANCE_VERDICTS, dense_T, with_shifted_root
 
 
 def verdict(num: int, ok: bool, detail: str) -> None:
@@ -100,7 +100,7 @@ def test_c05_eigenfunction_witness(ops600, spec3):
         for n in (0, 1)
         for s in (+1, -1)
     }
-    control = P.eigenfunction_witness(spec3, ops600, 0, +1, eigenvalue_shift=1e-3)
+    control = P.eigenfunction_witness(with_shifted_root(spec3, 1e-3), ops600, 0, +1)
     worst = max(residuals.values())
     clean_ok = worst < 1e-5
     control_ok = control > 1e-3

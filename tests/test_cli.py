@@ -75,7 +75,7 @@ def test_byte_identical_reruns(args, tmp_path, capsys):
 
 
 def test_floats_rendered_at_17_digits(capsys):
-    _, out, _ = run_cli(["spectrum", "--modes", "1", "--order", "120"], capsys)
+    _, out, _ = run_cli(["spectrum", "--modes", "1"], capsys)
     value = out.strip().split("\n")[1].split(",")[1]
     assert value == format(float(value), ".17g")
     assert len(value.replace("-", "").replace(".", "").lstrip("0")) >= 16
@@ -287,11 +287,13 @@ def test_error_messages_go_to_stderr(capsys):
     assert "error" in err
 
 
-def test_under_resolving_order_rejected_unless_forced(capsys):
-    assert run_cli(["spectrum", "--c", "3", "--order", "10", "--modes", "2"], capsys)[0] == 2
-    assert run_cli(
-        ["spectrum", "--c", "3", "--order", "10", "--modes", "2", "--force"], capsys
-    )[0] == 0
+def test_spectrum_order_flags_rejected_by_parser(capsys):
+    # The printed spectrum always uses the library's order policy.
+    for flag in (["--order", "60"], ["--force"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["spectrum", *flag])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_empty_float_list_rejected_by_parser(capsys):

@@ -533,3 +533,18 @@ def test_nan_arguments_are_refused(unit_gauss, call, error, message):
     # NaN fails every comparison, so each guard is written to fail closed on it.
     with pytest.raises(error, match=message):
         call(unit_gauss)
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        pytest.param(lambda: P.build_line_grid(math.inf, 10), "L must be positive", id="line-grid"),
+        pytest.param(lambda: P.sinc_kernel(math.inf, 0.5, 0.0), "c must be positive", id="sinc-kernel"),
+        pytest.param(lambda: P.prolate_spectrum(math.inf, 1), "c must be positive", id="spectrum"),
+        pytest.param(lambda: P.lambda0_asymptotic(math.inf), "c must be positive", id="lambda0-asymptotic"),
+    ],
+)
+def test_infinite_arguments_are_refused(call, message):
+    # inf passes a positivity test, so these guards also require a finite value.
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -1,5 +1,6 @@
 """Checks on the package source: no unused imports, no unreferenced private functions, methods or fields,
-no test-only dependency loaded by ``import prolate``, no module-level result cache."""
+no default that only tests override, no test-only dependency loaded by ``import prolate``, no module-level
+result cache."""
 
 import ast
 import functools
@@ -15,6 +16,7 @@ import prolate.core
 
 SOURCE = Path(__file__).resolve().parents[1] / "src" / "prolate"
 TESTS = Path(__file__).resolve().parent
+PERFBENCH = SOURCE.parents[1] / "perfbench"
 MODULES = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SOURCE.glob("*.py"))}
 
 
@@ -88,6 +90,28 @@ def test_every_field_is_read_as_an_attribute():
         if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name) and node.target.id not in read
     }
     assert unread == set()
+
+
+def test_every_default_is_overridden_outside_the_tests():
+    # A default that only tests override selects a code path no caller takes: a test-only switch.
+    callers = [*MODULES.values(), *(ast.parse(path.read_text(encoding="utf-8")) for path in PERFBENCH.glob("*.py"))]
+    passed = {
+        (node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None), keyword.arg)
+        for tree in callers
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        for keyword in node.keywords
+    }
+    defaulted = set()
+    for module in ("core.py", "operators.py", "hardy.py"):
+        for node in ast.walk(MODULES[module]):
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                args = node.args
+                positional = [*args.posonlyargs, *args.args]
+                names = [arg.arg for arg in positional[len(positional) - len(args.defaults) :]]
+                names += [arg.arg for arg, default in zip(args.kwonlyargs, args.kw_defaults) if default is not None]
+                defaulted |= {(node.name, name) for name in names}
+    assert defaulted - passed == set()
 
 
 def test_import_loads_no_test_only_dependency():

@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import prolate as P
-from conftest import dense_S, dense_T
+from conftest import dense_S, dense_T, with_shifted_root
 from prolate.core import NumericalFailure, gauss_legendre_rule
 
 # Idempotency defect of the truncated band limiter.  The domain cutoff
@@ -414,9 +414,9 @@ def test_sum_spectrum_invariant_under_dilation(s, L_scaled):
 
 def test_sum_spectrum_validates_arguments(ops600, spec3):
     with pytest.raises(ValueError):
-        P.sum_operator_spectrum(ops600, 0)
+        P.sum_operator_spectrum(ops600, 0, spec3)
     with pytest.raises(ValueError):
-        P.sum_operator_spectrum(ops600, ops600.grid.size + 1)
+        P.sum_operator_spectrum(ops600, ops600.grid.size + 1, spec3)
     mismatched = P.build_limiting_operators(ops600.grid, tau=1.0, omega=2.0)
     with pytest.raises(ValueError, match="c="):
         P.sum_operator_spectrum(mismatched, 4, spec=spec3)
@@ -429,14 +429,14 @@ def test_sum_spectrum_refuses_to_match_one_value_twice():
     # Two window nodes give T two eigenvalues above 1, too few for three pairs.
     ops = P.build_limiting_operators(P.build_line_grid(9.0, 30), tau=0.55, omega=0.5)
     with pytest.raises(NumericalFailure, match="does not resolve"):
-        P.sum_operator_spectrum(ops, 3)
+        P.sum_operator_spectrum(ops, 3, P.prolate_spectrum(ops.c, 3))
 
 
 def test_sum_spectrum_default_reference_resolves_large_c():
     # c = 150 needs quadrature order ceil(c) + 30 = 180 > 120; the
-    # reference computed on demand must use it rather than raise.
+    # reference at the default order must use it rather than raise.
     ops = P.build_limiting_operators(P.build_line_grid(20.0, 1000), tau=10.0, omega=15.0)
-    report = P.sum_operator_spectrum(ops, 4)
+    report = P.sum_operator_spectrum(ops, 4, P.prolate_spectrum(ops.c, 4))
     assert report.predicted_above.size == 4
 
 
@@ -445,10 +445,11 @@ def test_sum_spectrum_keeps_no_dense_matrix():
     # the operators still hold no n x n array.
     n = 1200
     grid = P.build_line_grid(60.0, n)
+    spec = P.prolate_spectrum(3.0, 6)
     tracemalloc.start()
     try:
         ops = P.build_limiting_operators(grid, tau=1.0, omega=3.0)
-        P.sum_operator_spectrum(ops, 6)
+        P.sum_operator_spectrum(ops, 6, spec)
         held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -481,7 +482,7 @@ def panel_grid(L, orders):
 def test_sum_spectrum_parity_split_matches_full_solve(L, n, tau, omega):
     grid = P.build_line_grid(L, n) if isinstance(n, int) else panel_grid(L, n)
     ops = P.build_limiting_operators(grid, tau=tau, omega=omega)
-    report = P.sum_operator_spectrum(ops, 4)
+    report = P.sum_operator_spectrum(ops, 4, P.prolate_spectrum(ops.c, 4))
     full = np.linalg.eigvalsh(dense_T(ops))[::-1]
     assert np.abs(report.computed_eigenvalues - full).max() <= 1e-13
 
@@ -501,7 +502,7 @@ def test_sum_spectrum_ritz_values_match_full_solve(L, omega, tau_fraction, extra
     tau = 0.2 + tau_fraction * (L / 3.0 - 0.2)
     ops = P.build_limiting_operators(grid, tau=tau, omega=omega)
     assume(ops.chi.any())  # else T = S has no eigenvalue above 1 to match
-    report = P.sum_operator_spectrum(ops, 1)
+    report = P.sum_operator_spectrum(ops, 1, P.prolate_spectrum(ops.c, 1))
     full = np.linalg.eigvalsh(dense_T(ops))[::-1]
     assert np.abs(report.computed_eigenvalues - full).max() <= 1e-13
     assert report.ritz_bound <= 1e-12
@@ -559,9 +560,10 @@ def test_ritz_basis_refuses_budget_before_allocating():
 def test_sum_spectrum_peak_memory_below_one_dense_T():
     n = 2400
     ops = P.build_limiting_operators(P.build_line_grid(120.0, n), tau=1.0, omega=3.0)
+    spec = P.prolate_spectrum(ops.c, 6)
     tracemalloc.start()
     try:
-        P.sum_operator_spectrum(ops, 6)
+        P.sum_operator_spectrum(ops, 6, spec)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -586,7 +588,7 @@ def test_eigenfunction_witness_residual_floors(spec3, ops600):
 
 def test_eigenfunction_witness_negative_control(spec3, ops600):
     clean = P.eigenfunction_witness(spec3, ops600, 0, +1)
-    shifted = P.eigenfunction_witness(spec3, ops600, 0, +1, eigenvalue_shift=1e-3)
+    shifted = P.eigenfunction_witness(with_shifted_root(spec3, 1e-3), ops600, 0, +1)
     assert shifted > clean
     assert shifted > 1e-3
 
