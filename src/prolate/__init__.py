@@ -3,9 +3,9 @@
 The package has three layers:
 
 * :mod:`prolate.core` -- Gauss-Legendre quadrature, the sinc kernel,
-  Nystrom eigenpairs of the concentration operator on (-1, 1), the
-  large-c asymptotic of the top eigenvalue, and bandlimited extension
-  of the eigenfunctions.
+  eigenpairs of the concentration operator on (-1, 1) from the Legendre
+  tridiagonal of the prolate operator, the large-c asymptotic of the top
+  eigenvalue, and bandlimited extension of the eigenfunctions.
 * :mod:`prolate.operators` -- the time limiter chi, band limiter S and
   their sum T on a truncated line grid, with spectral verification of
   the pairing (lambda - 1)^2 = lambda_n(omega tau), assembled

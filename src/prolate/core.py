@@ -6,10 +6,9 @@ The operator
 
 has a discrete spectrum 1 > lambda_0 > lambda_1 > ... > 0 whose
 eigenfunctions are the prolate spheroidal wave functions.  This module
-computes eigenvalues and node samples of the eigenfunctions with a
-symmetric Nystrom discretization on Gauss-Legendre nodes, evaluates the
-classical large-c asymptotic for lambda_0, and extends eigenfunctions
-off the interval through the kernel integral.
+computes both from the Legendre tridiagonal of the prolate differential
+operator, evaluates the classical large-c asymptotic for lambda_0, and
+extends eigenfunctions off the interval through the kernel integral.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ __all__ = [
     "ProlateSpectrum",
     "gauss_legendre_rule",
     "sinc_kernel",
-    "nystrom_matrix",
     "min_quadrature_order",
     "prolate_spectrum",
     "lambda0_asymptotic",
@@ -34,9 +32,9 @@ __all__ = [
     "pswf_extend",
 ]
 
-# Eigenvalues at or below this magnitude are indistinguishable from
-# eigensolver noise for the plunge tail of the spectrum.
-NOISE_FLOOR = 1e-12
+# A mode whose leading Legendre coefficient is at or below this carries a
+# relative error bound eps / |beta| above 1e-6 into its eigenvalue.
+COEFFICIENT_FLOOR = 1e6 * np.finfo(float).eps
 
 # A computed gap 1 - lambda at or below this (about 1e3 ulp of 1) is
 # eigensolver roundoff, not a resolved value.
@@ -81,16 +79,15 @@ class ProlateSpectrum:
         Time-bandwidth parameter of the kernel sin(c(x-y))/(pi(x-y)).
     eigenvalues : ndarray
         Values in (0, 1) in mode order: mode n is the (n // 2)-th eigenvalue
-        of the even (n even) or odd (n odd) part of the operator.  Resolved
-        values descend strictly; where 1 - lambda is roundoff (c above about
-        22) the order comes from parity alone and the values need not descend.
+        of the even (n even) or odd (n odd) part of the operator.  They
+        descend strictly except where 1 - lambda is roundoff (c above about 22).
     modes : ndarray
         Row n holds samples of the n-th eigenfunction at ``rule.nodes``,
         exactly of parity (-1)^n under node reversal, orthonormal in the
         rule's weighted inner product, and signed so the first sample
         larger than 1e-8 in magnitude is positive.
     rule : QuadratureRule
-        The rule underlying the Nystrom discretization.
+        The rule whose nodes carry ``modes``.
 
     ``eigenvalues`` and ``modes`` are read-only: ``pswf_extend`` keeps
     extensions computed from them on the spectrum.
@@ -160,29 +157,11 @@ def sinc_kernel(c: float, x, y):
     return float(out) if out.ndim == 0 else out
 
 
-def nystrom_matrix(c: float, nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Dense sinc matrix W^(1/2) K W^(1/2) on any nodes with weights w.
-
-    On Gauss-Legendre nodes of (-1, 1) it is the Nystrom matrix of K_c;
-    on a line grid, ``nystrom_matrix(omega, grid.points, grid.weights)``
-    is the band limiter S_omega, the tests' oracle for ``BandLimiter``.
-    Exactly symmetric: the kernel is, and sqrt(w_i) sqrt(w_j) is one
-    product for both (i, j) and (j, i).
-    """
-    sq = np.sqrt(weights)
-    return np.outer(sq, sq) * sinc_kernel(c, nodes[:, None], nodes[None, :])
-
-
 def min_quadrature_order(c: float) -> int:
-    """Smallest admissible Nystrom order ceil(c) + 30.
+    """Smallest admissible quadrature order ceil(c) + 30.
 
-    Gauss-Legendre nodes need about c points on (-1, 1) to resolve the
-    kernel; the Shannon count 2c/pi is too few for large c, where the
-    top eigenvalue then overshoots 1.  ``prolate_spectrum`` uses this
-    order by default and refuses any smaller one.  The fixed margin of
-    30 nodes falls short at large c (from about 350 for eight modes),
-    where the top eigenvalue exceeds 1 + GAP_FLOOR and
-    ``prolate_spectrum`` refuses the result.
+    The rule carries the eigenfunction samples and ``pswf_extend``'s kernel
+    integral, which needs about c nodes; the eigenvalues do not depend on it.
     """
     return math.ceil(c) + 30
 
@@ -220,32 +199,32 @@ def _symmetric_eigdesc(a: np.ndarray, vectors: bool = True):
     return vals[::-1], vecs[:, ::-1]
 
 
-def _parity_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs, in mode order, of a symmetric matrix that commutes with index reversal J.
+def _legendre_table(x: np.ndarray, terms: int) -> np.ndarray:
+    """P_0 ... P_{terms-1} (rows) at x, by (k + 1) P_{k+1} = (2k + 1) x P_k - k P_{k-1}."""
+    p = np.empty((terms, x.size))
+    p[0], p[1] = 1.0, x
+    for k in range(1, terms - 1):
+        np.subtract((2 * k + 1) / (k + 1) * x * p[k], k / (k + 1) * p[k - 1], out=p[k + 1])
+    return p
 
-    On the upper half u of the indices, the even block A[u, u] + A[u, Ju]
-    gives columns 0, 2, 4, ... and the odd block A[u, u] - A[u, Ju] columns
-    1, 3, 5, ...; together their eigenvalues are A's, and each column is
-    exactly even or odd.  At odd order the even block is bordered by the
-    middle index, its row and column scaled by 1/sqrt(2).
-    """
-    n = a.shape[0]
-    up = np.arange(n // 2, n)
-    middle = up == n - 1 - up  # the middle index, its own mirror image, is even
-    odd, d = up[~middle], np.where(middle, math.sqrt(0.5), 1.0)
-    even_block = (a[np.ix_(up, up)] + a[np.ix_(up, n - 1 - up)]) * np.outer(d, d)
-    even_vals, x = _symmetric_eigdesc(even_block)
-    odd_vals, y = _symmetric_eigdesc(a[np.ix_(odd, odd)] - a[np.ix_(odd, n - 1 - odd)])
-    vals, vecs = np.empty(n), np.zeros((n, n))
-    vals[0::2], vals[1::2] = even_vals, odd_vals
-    vecs[up, 0::2] = vecs[n - 1 - up, 0::2] = x / (math.sqrt(2.0) * d[:, None])
-    vecs[odd, 1::2] = y * math.sqrt(0.5)
-    vecs[n - 1 - odd, 1::2] = -vecs[odd, 1::2]
-    return vals, vecs
+
+def _bouwkamp_block(c: float, k: np.ndarray) -> np.ndarray:
+    """Bouwkamp's matrix of -(d/dx)(1 - x^2)(d/dx) + c^2 x^2 on sqrt(k + 1/2) P_k, k of one parity."""
+    diag = k * (k + 1) + c * c * (2 * k * (k + 1) - 1) / ((2 * k + 3) * (2 * k - 1))
+    j = k[:-1]
+    off = c * c * (j + 2) * (j + 1) / ((2 * j + 3) * np.sqrt((2 * j + 1) * (2 * j + 5)))
+    return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
 
 
 def prolate_spectrum(c: float, n_modes: int, order: int | None = None) -> ProlateSpectrum:
     """Leading eigenvalues and eigenfunction samples of the sinc-kernel operator.
+
+    The eigenfunctions psi_n = sum_k beta_k sqrt(k + 1/2) P_k are those of
+    the prolate differential operator: Bouwkamp's tridiagonal in
+    ``ceil(c) + n_modes + 30`` Legendre terms, one block per parity, has
+    well-separated eigenvalues at every c.  Evaluating F_c psi_n = i^n mu_n
+    psi_n, F_c f(x) = integral e^{icxt} f(t) dt, at x = 0 (or its derivative,
+    n odd) gives mu_n, and lambda_n = c mu_n^2 / (2 pi) does not depend on ``order``.
 
     Parameters
     ----------
@@ -254,9 +233,9 @@ def prolate_spectrum(c: float, n_modes: int, order: int | None = None) -> Prolat
     n_modes : int
         Number of leading eigenpairs to keep; must not exceed ``order``.
     order : int, optional
-        Quadrature order, at least ``min_quadrature_order(c)``.  Defaults
-        to that minimum (never below ``n_modes``); a larger order moves
-        the eigenvalues only by roundoff.
+        Order of the Gauss-Legendre rule whose nodes carry the samples,
+        at least ``min_quadrature_order(c)``.  Defaults to that minimum
+        (never below ``n_modes``).
 
     Returns
     -------
@@ -266,14 +245,12 @@ def prolate_spectrum(c: float, n_modes: int, order: int | None = None) -> Prolat
     ------
     ValueError
         Bad arguments (c not positive and finite, or an order below
-        ``min_quadrature_order(c)``), an order whose Nystrom matrix
-        exceeds DENSE_BUDGET_BYTES, or requested modes reach the
-        eigensolver noise floor 1e-12 where eigenvalues are meaningless.
+        ``min_quadrature_order(c)``), a Legendre table over DENSE_BUDGET_BYTES,
+        or a requested mode whose leading coefficient beta_0 (even) or beta_1
+        (odd) is at or below COEFFICIENT_FLOOR, where lambda is not resolved.
     NumericalFailure
         The dense symmetric eigensolver did not converge, or a returned
-        eigenvalue exceeds 1 + GAP_FLOOR: the operator's norm is below 1,
-        so the order under-resolves the top of the spectrum (at the
-        default order, from c of about 350 for eight modes).
+        eigenvalue exceeds 1 + GAP_FLOOR (the operator's norm is below 1).
     """
     if not c > 0 or not math.isfinite(c):
         raise ValueError(f"bandwidth parameter c must be positive and finite, got {c}")
@@ -286,35 +263,46 @@ def prolate_spectrum(c: float, n_modes: int, order: int | None = None) -> Prolat
         raise ValueError(f"n_modes={n_modes} exceeds quadrature order {order}")
     if order < min_order:
         raise ValueError(
-            f"order {order} under-resolves the spectrum at c={c}: "
+            f"order {order} under-resolves the eigenfunctions at c={c}: "
             f"need at least ceil(c)+30 = {min_order}"
         )
-    _require_dense_budget(order, "Nystrom matrix")
+    terms = math.ceil(c) + n_modes + 30
+    half = order // 2  # nodes[half:] are >= 0; nodes[:half] are their mirror images
+    _require_dense_budget(terms, "Legendre table", cols=order - half + 1)
 
     rule = gauss_legendre_rule(order)
-    vals, vecs = _parity_eigh(nystrom_matrix(c, rule.nodes, rule.weights))
+    # P_k (row k) at the non-negative nodes and, in the last column, at 0.
+    legendre = _legendre_table(np.append(rule.nodes[half:], 0.0), terms)
+    vals, lead, modes = np.empty(n_modes), np.empty(n_modes), np.empty((n_modes, order))
+    for parity in range(min(n_modes, 2)):
+        k = np.arange(parity, terms, 2)
+        _, beta = _symmetric_eigdesc(-_bouwkamp_block(c, k))  # chi ascending
+        beta = beta[:, : (n_modes + 1 - parity) // 2]
+        coef = np.sqrt(k + 0.5)[:, None] * beta  # coefficients of P_k
+        psi = legendre[parity::2].T @ coef
+        if parity:  # psi'(0) from P_k'(0) = k P_{k-1}(0)
+            mu = c * math.sqrt(2.0 / 3.0) * beta[0] / ((k * legendre[k - 1, -1]) @ coef)
+        else:
+            mu = math.sqrt(2.0) * beta[0] / psi[-1]
+        vals[parity::2], lead[parity::2] = c * mu * mu / (2.0 * np.pi), beta[0]
+        # nodes[:half] mirror nodes[-1], nodes[-2], ..., held in rows -2, -3, ... of psi.
+        modes[parity::2] = np.vstack([(-1) ** parity * psi[-2 : -2 - half : -1], psi[:-1]]).T
 
-    if vals[n_modes - 1] <= NOISE_FLOOR:
+    weak = np.flatnonzero(np.abs(lead) <= COEFFICIENT_FLOOR)
+    if weak.size:
         raise ValueError(
-            f"mode {n_modes - 1} at c={c} lies at or below the noise floor "
-            f"{NOISE_FLOOR:g} (eigenvalue {vals[n_modes - 1]:.3e}); request fewer modes"
+            f"mode {weak[0]} at c={c} lies at or below the noise floor: its leading Legendre "
+            f"coefficient {abs(lead[weak[0]]):.3e} is at most {COEFFICIENT_FLOOR:.3g}; request fewer modes"
         )
-
-    vals = vals[:n_modes].copy()
     if vals.max() > 1.0 + GAP_FLOOR:
         raise NumericalFailure(
-            f"eigenvalue {vals.max():.17g} exceeds 1 + {GAP_FLOOR:.3g} at c={c:g}, "
-            f"order {order}: the quadrature under-resolves the top of the spectrum"
+            f"eigenvalue {vals.max():.17g} exceeds 1 + {GAP_FLOOR:.3g} at c={c:g} "
+            f"with {terms} Legendre terms: the operator's norm is below 1"
         )
-    vecs = vecs[:, :n_modes]
-    sq = np.sqrt(rule.weights)
-    modes = (vecs / sq[:, None]).T  # row n: psi_n at the nodes, weighted-orthonormal
 
-    # Deterministic sign: first significantly nonzero sample positive.
-    for row in modes:
-        nz = np.flatnonzero(np.abs(row) > 1e-8)
-        if nz.size and row[nz[0]] < 0:
-            row *= -1.0
+    # Deterministic sign: first sample larger than 1e-8 in magnitude positive.
+    first = modes[np.arange(n_modes), np.argmax(np.abs(modes) > 1e-8, axis=1)]
+    modes *= np.where(first < 0, -1.0, 1.0)[:, None]
     vals.flags.writeable = False
     modes.flags.writeable = False
 

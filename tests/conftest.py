@@ -38,9 +38,22 @@ LAM0 = {
 }
 
 
+def nystrom_matrix(c, nodes, weights):
+    """Dense sinc matrix W^(1/2) K W^(1/2) on any nodes with weights w.
+
+    On Gauss-Legendre nodes of (-1, 1) it is the Nystrom matrix of K_c, an
+    oracle for ``prolate_spectrum`` that shares no code with its Legendre
+    tridiagonal; on a line grid it is the band limiter S_c, the oracle for
+    ``BandLimiter``.  Exactly symmetric: the kernel is, and sqrt(w_i) sqrt(w_j)
+    is one product for both (i, j) and (j, i).
+    """
+    sq = np.sqrt(weights)
+    return np.outer(sq, sq) * P.sinc_kernel(c, nodes[:, None], nodes[None, :])
+
+
 def dense_S(grid, omega):
     """Dense band limiter S_omega on ``grid``, assembled directly from the sinc kernel."""
-    return P.nystrom_matrix(omega, grid.points, grid.weights)
+    return nystrom_matrix(omega, grid.points, grid.weights)
 
 
 def dense_T(ops):

@@ -93,6 +93,23 @@ def test_spectrum_small_c_rank_one_limit(capsys):
     assert 0.99 < lam0 / (2 * 0.01 / math.pi) < 1.0
 
 
+def test_spectrum_resolves_modes_above_the_coefficient_floor(capsys):
+    # lambda_11(3) = 5.0431e-18; a 1e-12 eigenvalue floor refused it.
+    code, out, _ = run_cli(["spectrum", "--c", "3", "--modes", "12"], capsys)
+    assert code == 0
+    lam11 = float(out.strip().split("\n")[-1].split(",")[1])
+    assert lam11 == pytest.approx(5.0431156218996216e-18, rel=1e-12)
+
+
+def test_spectrum_below_the_coefficient_floor_exits_2(capsys):
+    # Mode 12 at c = 3 has a leading Legendre coefficient of 1.1e-10, below 1e6 eps.
+    code, out, err = run_cli(["spectrum", "--c", "3", "--modes", "14"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "mode 12 at c=3.0 lies at or below the noise floor" in err
+    assert f"at most {1e6 * np.finfo(float).eps:.3g}" in err
+
+
 def test_asymptotics_ratio_approaches_one(capsys):
     code, out, _ = run_cli(["asymptotics"], capsys)
     assert code == 0
@@ -192,11 +209,12 @@ def test_non_finite_arguments_rejected_by_parser(args, capsys):
         ["hardy", "--omega", "12"],
         ["spectrum", "--c", "18", "--modes", "1"],
         ["spectrum", "--c", "100", "--modes", "2"],
+        ["spectrum", "--c", "1000"],
     ],
     ids=" ".join,
 )
 def test_unresolved_gap_exits_3(args, capsys):
-    # 1 - lambda_0 at c = 18, 24, 25, 100 and 144 is roundoff in double precision;
+    # 1 - lambda_0 at c = 18, 24, 25, 100, 144 and 1000 is roundoff in double precision;
     # hardy refuses it before building a grid too coarse for omega = 12.
     code, out, err = run_cli(args, capsys)
     assert code == 3
@@ -234,17 +252,19 @@ def test_extreme_finite_arguments_exit_2(args, capsys):
 def test_linalg_error_exits_3(monkeypatch, capsys):
     # LinAlgError subclasses ValueError; it is still a numerical failure, not bad input.
     def fail(*args, **kwargs):
-        raise np.linalg.LinAlgError("QR did not converge")
+        raise np.linalg.LinAlgError("did not converge")
 
-    monkeypatch.setattr(np.linalg, "qr", fail)
-    code, out, err = run_cli(["sum-spectrum"], capsys)
-    assert code == 3
-    assert out == ""
-    assert "numerical failure" in err
+    for solver, args in (("qr", ["sum-spectrum"]), ("eigh", ["spectrum"])):
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, solver, fail)
+            code, out, err = run_cli(args, capsys)
+        assert code == 3
+        assert out == ""
+        assert "numerical failure" in err
 
 
 def test_oversized_dense_matrix_exits_2_without_allocating(capsys):
-    # The default order at c = 1e5 would need a 75 GiB Nystrom matrix.
+    # The default order at c = 1e5 would need a 37 GiB Legendre table.
     tracemalloc.start()
     try:
         code, out, err = run_cli(["spectrum", "--c", "1e5", "--modes", "1"], capsys)

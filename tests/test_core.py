@@ -8,8 +8,56 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import prolate as P
-from conftest import LAM0, LAM3
-from prolate.core import _parity_eigh
+from conftest import LAM0, LAM3, nystrom_matrix
+
+# Sinc-kernel eigenvalues to 60 digits; the recipe is in
+# test_high_precision_reference_eigenvalues.
+REFERENCE_LAMBDA = {
+    3.0: [
+        0.97582863480923593752882909320072354900326955684831200484456,
+        0.70996323854477222629425415543879069942326556306188520562423,
+        0.205138678662571837387750870447211007743477066521914999653514,
+        0.0182037995404362241747643034260301534315781369740763460358836,
+        7.08147098415311301740427933238396201743197237942360731305571e-4,
+        1.6551244455433179135638290613245111605452330206724152743213e-5,
+        2.6410164727675479139744738699494562488403622360339825084156e-7,
+        3.07373653342613718766034712810547899527779244275176217739545e-9,
+        2.7281307431914814955957416293405740441530391083706273318366e-11,
+        1.90856893711092434302956276016638613292184278520505070923047e-13,
+        1.07979061889810023861366348758080823916516166409226857375069e-15,
+        5.043115621899621576589607544042408683325830971278557297198e-18,
+    ],
+    8.0: [
+        0.999997874997205816968411602633677542205685894138487064270122,
+        0.999878976216734414421660924632639774876602467961405603875176,
+        0.997004619439343390550089353930282296550905781153889303660736,
+        0.96054567605580749430106396148877240135696442730011210450827,
+        0.747902841906489643999307509515279564996402108324978511685159,
+        0.32027663488554939145856648801860131325963267343329707452782,
+        0.0607844268507101606842991189756827797383818559163243376018134,
+        0.00612628939440449663482471650935707672559519054156834130201854,
+        4.18252055975764307596799384306106624874746986501196235541185e-4,
+        2.16630879414872751165065760552371531147270279958012326144901e-5,
+        8.93042720352333919200615031343186827870627921372755757656315e-7,
+        3.01373496503131340388097174415956531102598473700270772164398e-8,
+        8.49658461302260008031007805632821645792531678520605711704341e-10,
+        2.03340834736233448384991917688096203684087918427663161906061e-11,
+        4.18526750506687754392983387548670080498270170228425586395559e-13,
+        7.49050204955143820680873287217123933601423291590751539702811e-15,
+    ],
+    22.0: [
+        0.999999999999999997464941950104104328876651943011599978729081,
+        0.999999999999999569785254346965306247295523555484670896155632,
+        0.999999999999964839801432549069952186372685202325111507580133,
+        0.999999999998159682794910537985735920882174057263520331257619,
+        0.999999999930811117910970470805564951627599052615415335459885,
+        0.999999998014212266650581297707000367793169640199662337736373,
+        0.999999954877545911358977286417022251686675617711915434059548,
+        0.999999169664944691752172640110095428128222566430986045810489,
+        0.999987458439111230207492784566128719945722876531627574323307,
+        0.9998436214351268108561721414558504183074275238320534208606,
+    ],
+}
 
 
 # ---------------------------------------------------------------------------
@@ -154,30 +202,50 @@ def test_mode_parity_alternates(spec3):
         assert np.abs(flipped - (-1) ** n * spec3.modes[n]).max() < 1e-8
 
 
+def test_high_precision_reference_eigenvalues():
+    """Every eigenvalue at c = 3 (12 modes) and c = 8 (16 modes) within 1e-12 relative.
+
+    REFERENCE_LAMBDA comes from the library's own method in mpmath 1.3 at
+    ``mp.dps = 60`` with 50 more Legendre terms (``ceil(c) + n + 80``); 80 more
+    change no digit.  Per parity p, the block of degrees k = p, p + 2, ...
+    has diagonal k(k+1) + c^2 (2k(k+1) - 1) / ((2k+3)(2k-1)) and off-diagonal
+    c^2 (k+1)(k+2) / ((2k+3) sqrt((2k+1)(2k+5))).  ``mp.eigsy`` gives the
+    eigenvectors beta in ascending order of the block's eigenvalues; the j-th is
+    mode n = 2j + p.  With P_k(0) from P_0 = 1, P_1 = 0,
+    P_{k+1}(0) = -k P_{k-1}(0) / (k+1):
+
+        psi(0)  = sum beta_k sqrt(k + 1/2) P_k(0),        mu = sqrt(2) beta_0 / psi(0)        (n even)
+        psi'(0) = sum beta_k sqrt(k + 1/2) k P_{k-1}(0),  mu = c sqrt(2/3) beta_1 / psi'(0)   (n odd)
+
+    and lambda_n = c mu^2 / (2 pi).
+    """
+    for c in (3.0, 8.0):
+        ref = np.array(REFERENCE_LAMBDA[c])
+        lam = P.prolate_spectrum(c, ref.size).eigenvalues
+        assert np.abs(lam / ref - 1.0).max() <= 1e-12
+
+
 @pytest.mark.parametrize("order", [60, 61, 120, 121])
 def test_modes_exactly_of_parity_in_mode_order(order):
     # At c = 22 the top of the spectrum agrees with 1 to roundoff, so
-    # only the parity split can tell modes 0, 1, 2, ... apart.
+    # only the parity of each mode can tell modes 0, 1, 2, ... apart.
     c = 22.0
     n_modes = 10
     spec = P.prolate_spectrum(c, n_modes, order=order)
     for n in range(n_modes):
         assert np.array_equal(spec.modes[n][::-1], (-1) ** n * spec.modes[n])
-    rule = spec.rule
-    full = np.sort(np.linalg.eigvalsh(P.nystrom_matrix(c, rule.nodes, rule.weights)))[::-1]
-    assert np.abs(spec.eigenvalues - full[:n_modes]).max() <= 1e-14
+    assert np.abs(spec.eigenvalues - REFERENCE_LAMBDA[c]).max() <= 1e-14
 
 
-@pytest.mark.parametrize("order", [1, 2, 7, 8, 31, 32])
-def test_parity_blocks_hold_the_full_spectrum(order):
-    rng = np.random.default_rng(order)
-    b = rng.standard_normal((order, order))
-    b = b + b.T
-    a = b + b[::-1, ::-1]  # symmetric and commuting with index reversal
-    vals, vecs = _parity_eigh(a)
-    assert np.abs(np.sort(vals) - np.linalg.eigvalsh(a)).max() <= 1e-13 * np.abs(a).max() * order
-    for j in range(order):
-        assert np.array_equal(vecs[::-1, j], (-1) ** j * vecs[:, j])
+@pytest.mark.parametrize("c", [22.0, 30.0])
+def test_modes_determined_where_eigenvalues_cluster_at_one(c):
+    # Within 1e-16 of 1 any mix of eigenvectors of the integral operator solves it to
+    # roundoff: Nystrom modes moved mode 0's extension by 1.8e-2 (c = 22) and 2.4
+    # (c = 30) between orders 120 and 200.  The differential operator tells them apart.
+    x = np.linspace(-1.0, 1.0, 101)
+    coarse, fine = (P.prolate_spectrum(c, 6, order=order) for order in (120, 200))
+    for n in range(6):
+        assert np.abs(P.pswf_extend(coarse, n, x) - P.pswf_extend(fine, n, x)).max() <= 1e-10
 
 
 @pytest.mark.parametrize("c", [60.0, 100.0, 150.0])
@@ -198,12 +266,15 @@ def test_sign_convention_first_significant_sample_positive(spec3):
 
 
 def test_eigenvalues_invariant_under_node_reversal():
+    # The Nystrom oracle agrees with itself under node reversal and with the library.
     rule = P.gauss_legendre_rule(80)
-    direct = np.linalg.eigvalsh(P.nystrom_matrix(3.0, rule.nodes, rule.weights))
+    direct = np.linalg.eigvalsh(nystrom_matrix(3.0, rule.nodes, rule.weights))
     reversed_ = np.linalg.eigvalsh(
-        P.nystrom_matrix(3.0, rule.nodes[::-1].copy(), rule.weights[::-1].copy())
+        nystrom_matrix(3.0, rule.nodes[::-1].copy(), rule.weights[::-1].copy())
     )
     assert np.abs(np.sort(direct)[::-1][:8] - np.sort(reversed_)[::-1][:8]).max() < 1e-12
+    library = P.prolate_spectrum(3.0, 8, order=80).eigenvalues
+    assert np.abs(np.sort(direct)[::-1][:8] - library).max() < 1e-12
 
 
 def test_oversampling_precondition_enforced():
@@ -212,11 +283,28 @@ def test_oversampling_precondition_enforced():
 
 
 @pytest.mark.parametrize("c,n_modes", [(600.0, 1), (400.0, 8)])
-def test_eigenvalue_over_one_refused(c, n_modes):
-    # The operator's norm is below 1.  At the default order ceil(c) + 30 the top
-    # eigenvalue exceeds 1 by 7.3e-13 at c = 600 (mode 0) and 4.1e-12 at c = 400 (8 modes).
-    with pytest.raises(P.NumericalFailure, match=f"c={c:g}, order {math.ceil(c) + 30}"):
+def test_eigenvalue_over_one_refused(c, n_modes, monkeypatch):
+    # The operator's norm is below 1.  A solve whose leading coefficients are
+    # twice too large returns lambda of about 4, which must not pass silently.
+    solve = P.core._symmetric_eigdesc
+
+    def doubled_lead(a):
+        vals, vecs = solve(a)
+        vecs = vecs.copy()
+        vecs[0] *= 2.0
+        return vals, vecs
+
+    monkeypatch.setattr(P.core, "_symmetric_eigdesc", doubled_lead)
+    with pytest.raises(P.NumericalFailure, match=f"exceeds 1 .* at c={c:g}"):
         P.prolate_spectrum(c, n_modes)
+
+
+@pytest.mark.parametrize("c,n_modes", [(600.0, 1), (400.0, 8)])
+def test_large_c_eigenvalues_within_gap_floor_of_one(c, n_modes):
+    # A Nystrom solve at order ceil(c) + 30 overshot 1 by 7.3e-13 at c = 600 (mode 0)
+    # and 4.1e-12 at c = 400 (8 modes); the tridiagonal stays within roundoff of 1.
+    lam = P.prolate_spectrum(c, n_modes).eigenvalues
+    assert np.abs(lam - 1.0).max() <= P.core.GAP_FLOOR
 
 
 def test_mode_count_validation():
@@ -229,7 +317,8 @@ def test_mode_count_validation():
 
 
 def test_noise_floor_guard():
-    # Deep plunge eigenvalues at small c sit below 1e-12 and are refused.
+    # Mode 10 at c = 1 has a leading Legendre coefficient of 4.5e-13, so its
+    # eigenvalue is not resolved and is refused.
     with pytest.raises(ValueError, match="noise floor"):
         P.prolate_spectrum(1.0, 25, order=60)
 
