@@ -22,9 +22,11 @@ offset and applies S in O(n log n); no n x n matrix is formed.
 Every eigenvector of T with a nonzero eigenvalue lies in range chi +
 range S: the window nodes and the band-limited functions e^{i xi x},
 |xi| < omega.  ``sum_operator_spectrum`` takes the eigenvalues of T by
-Rayleigh-Ritz on an orthonormal basis of k columns spanning that
-subspace to roundoff (k is about omega L + 40 plus the window nodes), in
-O(n k^2) work with no n x n array, and certifies them with a Weyl bound.
+Rayleigh-Ritz on k orthonormal columns q spanning that subspace to
+roundoff: the unit vectors at the w window nodes, so that q^T chi q is
+exactly diag(I_w, 0), then about omega L + 40 columns orthonormalized
+on the rows off the window.  The work is O(n k^2) with no n x n array,
+and a Weyl bound certifies the eigenvalues.
 """
 
 from __future__ import annotations
@@ -217,11 +219,18 @@ def build_line_grid(L: float, n: int) -> LineGrid:
     Returns
     -------
     LineGrid
+
+    Raises
+    ------
+    ValueError
+        Bad arguments, or n points and weights over the dense-matrix budget,
+        refused before anything of size n is built.
     """
     if not L > 0 or not math.isfinite(L):
         raise ValueError(f"half-width L must be positive and finite, got {L}")
     if n < 2:
         raise ValueError(f"need at least 2 grid points, got {n}")
+    _require_dense_budget(n, "grid points and weights", cols=2)
     orders = _panel_orders(n)
     counts = np.asarray(orders)
     edges = np.linspace(-L, L, counts.size + 1)
@@ -320,8 +329,9 @@ def build_band_operator(grid: LineGrid, omega: float) -> BandLimiter:
     ValueError
         If omega <= 0, if the sampling adequacy condition
         max_spacing * omega < 1 fails (the kernel oscillation would be
-        under-resolved), or if the grid lacks the equal-panel layout of
-        ``build_line_grid``.
+        under-resolved), if the grid lacks the equal-panel layout of
+        ``build_line_grid``, or if the 2m blocks of p x p kernel values
+        exceed the dense-matrix budget.
     """
     if not omega > 0:
         raise ValueError(f"omega must be positive, got {omega}")
@@ -336,6 +346,8 @@ def build_band_operator(grid: LineGrid, omega: float) -> BandLimiter:
         raise ValueError("the band limiter needs a grid with the panel layout of build_line_grid")
     m = orders.size
     distinct = sorted(set(grid.panel_orders))
+    p = sum(distinct)
+    _require_dense_budget(2 * m * p, "kernel blocks of S", cols=p)
     rules = [gauss_legendre_rule(order) for order in distinct]
     first_slots = np.cumsum([0] + distinct[:-1])
     slots_of = {order: first + np.arange(order) for order, first in zip(distinct, first_slots)}
@@ -349,7 +361,6 @@ def build_band_operator(grid: LineGrid, omega: float) -> BandLimiter:
     # sq_s sq_t is one product for both (s, t) and (t, s), so B_0 is exactly symmetric.
     ahead = np.outer(sq, sq) * sinc_kernel(omega, gap, 0.0)  # B_0, ..., B_(m-1)
     behind = ahead[:0:-1].transpose(0, 2, 1)  # B_(1-m), ..., B_(-1)
-    p = offsets.size
     circulant = np.concatenate([ahead, np.zeros((1, p, p)), behind])
     return BandLimiter(
         spectrum=np.fft.rfft(circulant, axis=0),
@@ -454,43 +465,44 @@ def _ritz_column_bound(half_width: float, n: int, tau: float, omega: float) -> i
 
 
 def _ritz_basis(ops: LimitingOperators) -> np.ndarray:
-    """Columns spanning range chi + range S to roundoff, not orthonormal.
+    """Orthonormal columns spanning range chi + range S to roundoff, window nodes first.
 
-    S has the kernel (1/pi) integral_0^omega cos(xi (x - y)) d xi.  Its range is
-    spanned to roundoff by sqrt(w) cos(xi_j x) and sqrt(w) sin(xi_j x) at M
-    Gauss nodes xi_j of (0, omega), as ``_ritz_eigenvalues`` certifies after
-    the fact, although the rule does not integrate the kernel to roundoff for
-    every |x - y| <= 2L at large L.  The unit vectors at the window nodes
-    span range chi.
-
-    Raises ValueError when the n x (2M + window nodes) basis would exceed
-    the dense-matrix budget ``DENSE_BUDGET_BYTES``.
+    The first w columns are the unit vectors at the w window nodes, which span range chi.
+    S has the kernel (1/pi) integral_0^omega cos(xi (x - y)) d xi.  Its range is spanned
+    to roundoff by sqrt(w) cos(xi_j x) and sqrt(w) sin(xi_j x) at M Gauss nodes xi_j of
+    (0, omega), as ``_ritz_eigenvalues`` certifies after the fact, although the rule does
+    not integrate the kernel to roundoff for every |x - y| <= 2L at large L.  Such a column
+    minus its off-window rows lies in range chi, so the other columns are the reduced QR
+    factor of those rows alone.  Raises ValueError where n x (2M + w) exceeds the budget.
     """
     grid = ops.grid
     m = _ritz_frequency_count(grid.half_width, ops.omega)
-    window = np.flatnonzero(ops.chi)
+    window, off = np.flatnonzero(ops.chi), np.flatnonzero(ops.chi == 0.0)
     _require_dense_budget(grid.size, "Ritz basis of chi + S", cols=2 * m + window.size)
     xi = 0.5 * ops.omega * (1.0 + gauss_legendre_rule(m).nodes)
-    phase = np.multiply.outer(grid.points, xi)
-    sq = np.sqrt(grid.weights)[:, None]
-    basis = np.zeros((grid.size, 2 * m + window.size))
-    basis[:, :m] = sq * np.cos(phase)
-    basis[:, m : 2 * m] = sq * np.sin(phase)
-    basis[window, 2 * m + np.arange(window.size)] = 1.0
-    return basis
+    band = np.empty((off.size, 2 * m))
+    np.multiply.outer(grid.points[off], xi, out=band[:, :m])  # the phases xi_j x
+    np.sin(band[:, :m], out=band[:, m:])
+    np.cos(band[:, :m], out=band[:, :m])
+    band *= np.sqrt(grid.weights[off])[:, None]
+    band = np.linalg.qr(band)[0]
+    q = np.zeros((grid.size, window.size + band.shape[1]))
+    q[window, np.arange(window.size)] = 1.0
+    q[off, window.size :] = band
+    return q
 
 
 def _ritz_eigenvalues(ops: LimitingOperators, q: np.ndarray) -> tuple[np.ndarray, float]:
     """All n eigenvalues of T, descending, by Rayleigh-Ritz on the orthonormal columns of q.
 
-    With P = q q^T, P chi P = chi when q spans the window nodes, and S is
-    positive semidefinite, so
+    The first w columns of q are the unit vectors at the w window nodes, as in
+    ``_ritz_basis``, so q^T chi q = diag(I_w, 0) and P chi P = chi for P = q q^T.
+    S is positive semidefinite, so
 
         ||T - P T P||_2 <= ||S q - q q^T S q||_F + |tr S - tr q^T S q| = eps.
 
     By Weyl's inequality every eigenvalue of T then lies within eps of the
-    eigenvalues of P T P: those of q^T T q, padded with n - k zeros.
-    Returns the padded values and eps.
+    eigenvalues of P T P: those of q^T T q, padded with n - k zeros; returns them and eps.
 
     Raises NumericalFailure when eps exceeds ``RITZ_TOLERANCE``: q does not
     span the eigenvectors of T.
@@ -508,8 +520,7 @@ def _ritz_eigenvalues(ops: LimitingOperators, q: np.ndarray) -> tuple[np.ndarray
             f"Ritz basis of order {k} misses the spectrum of T: Weyl bound {bound:.3g} "
             f"exceeds {RITZ_TOLERANCE:g}"
         )
-    window = q[np.flatnonzero(ops.chi)]
-    a += window.T @ window
+    a[np.diag_indices(np.count_nonzero(ops.chi))] += 1.0  # q^T T q
     ritz = _symmetric_eigdesc(a, vectors=False)
     return np.sort(np.concatenate([ritz, np.zeros(n - k)]))[::-1], bound
 
@@ -520,13 +531,14 @@ def sum_operator_spectrum(
     """Eigenvalues of T = chi + S against the 1 +/- sqrt(lambda_n) pairs.
 
     The eigenvectors of T with nonzero eigenvalues lie in range chi +
-    range S, which k orthonormal columns q span to roundoff: the QR factor
-    of sqrt(w) cos(xi_j x), sqrt(w) sin(xi_j x) at M = ceil(omega L / 2) + 20
-    Gauss nodes xi_j of (0, omega) and the unit vectors at the window
-    nodes (k = n where these are n or more).  The eigenvalues of q^T T q,
-    padded with n - k zeros, are all n eigenvalues of T to within the Weyl
-    bound ``ritz_bound``, about 1e-13 on the line grids.  S q is applied by
-    FFT, so no n x n array is formed, and the work is O(n k^2).
+    range S, which k orthonormal columns q span to roundoff: the unit
+    vectors at the w window nodes, then the QR factor of sqrt(w) cos(xi_j x),
+    sqrt(w) sin(xi_j x) at M = ceil(omega L / 2) + 20 Gauss nodes xi_j of
+    (0, omega) on the n - w rows off the window (k = w + min(2M, n - w)).
+    The eigenvalues of q^T T q, padded with n - k zeros, are all n
+    eigenvalues of T to within the Weyl bound ``ritz_bound``, about 1e-13
+    on the line grids.  S q is applied by FFT, so no n x n array is
+    formed, and the work is O(n k^2).
 
     Parameters
     ----------
@@ -557,8 +569,7 @@ def sum_operator_spectrum(
     if spec.n_modes < n_report:
         raise ValueError(f"reference spectrum has {spec.n_modes} modes, need {n_report}")
 
-    q = np.linalg.qr(_ritz_basis(ops))[0]  # the basis is freed once factored
-    evals, bound = _ritz_eigenvalues(ops, q)
+    evals, bound = _ritz_eigenvalues(ops, _ritz_basis(ops))
     roots = np.sqrt(spec.eigenvalues[:n_report])
     predicted_above = 1.0 + roots  # descending
     predicted_below = np.sort(1.0 - roots)[::-1]  # descending

@@ -99,6 +99,18 @@ def test_grid_rejects_bad_arguments():
         P.build_line_grid(1.0, 1)
 
 
+def test_grid_refuses_budget_before_allocating():
+    # 10^10 points and weights need 149 GiB; the panel list alone would hold 2 * 10^9 entries.
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="budget"):
+            P.build_line_grid(30.0, 10**10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 # ---------------------------------------------------------------------------
 # Time limiter
 # ---------------------------------------------------------------------------
@@ -250,6 +262,21 @@ def test_band_operator_needs_panel_layout():
     band = P.build_band_operator(P.build_line_grid(2.0, 7), 1.0)
     with pytest.raises(ValueError, match="grid size"):
         band.matvec(np.ones(6))
+
+
+def test_band_operator_refuses_budget_before_allocating():
+    # One panel of 20000 nodes: two 20000 x 20000 kernel blocks need 6 GiB, and
+    # the Gauss rule of order 20000 alone would solve a 20000 x 20000 companion matrix.
+    n = 20000
+    grid = P.LineGrid(10.0, np.linspace(-10.0, 10.0, n), np.full(n, 20.0 / n), (n,))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="budget"):
+            P.build_band_operator(grid, 1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -477,6 +504,8 @@ def panel_grid(L, orders):
         (20.0, 300, 1.0, 3.0),
         # Panels of 4 and 6 nodes on (-3, 3): chi is symmetric, S is not.
         pytest.param(3.0, (4, 6), 1.9, 0.5, id="3.0-panels4,6-1.9-0.5"),
+        # c = 150: half the nodes lie in the window, so k = 500 + 2M = 840.
+        (20.0, 1000, 10.0, 15.0),
     ],
 )
 def test_sum_spectrum_parity_split_matches_full_solve(L, n, tau, omega):
@@ -521,7 +550,11 @@ def test_ritz_column_bound_covers_the_basis(L, n, tau_fraction, omega_fraction):
     tau = tau_fraction * L
     ops = P.build_limiting_operators(grid, tau=tau, omega=omega)
     bound = P.operators._ritz_column_bound(L, n, tau, omega)
-    assert bound >= P.operators._ritz_basis(ops).shape[1]
+    window = np.count_nonzero(ops.chi)
+    m = P.operators._ritz_frequency_count(L, omega)
+    columns = P.operators._ritz_basis(ops).shape[1]
+    assert columns == window + min(2 * m, n - window)
+    assert bound >= columns
 
 
 def test_ritz_column_bound_admits_a_large_grid():
@@ -534,13 +567,39 @@ def test_ritz_column_bound_admits_a_large_grid():
 
 
 def test_ritz_step_refuses_a_basis_missing_frequencies(ops600):
-    basis = P.operators._ritz_basis(ops600)
-    m = P.operators._ritz_frequency_count(ops600.grid.half_width, ops600.omega)
-    # Every other cosine and sine column: half the Gauss nodes of (0, omega).
-    keep = np.r_[0:m:2, m : 2 * m : 2, 2 * m : basis.shape[1]]
-    q = np.linalg.qr(basis[:, keep])[0]
+    q = P.operators._ritz_basis(ops600)
+    window = np.count_nonzero(ops600.chi)
+    # The window block and every other band column: still orthonormal, but
+    # about half of range S is missing.
+    keep = np.r_[0:window, window : q.shape[1] : 2]
     with pytest.raises(NumericalFailure, match="Weyl bound"):
-        P.operators._ritz_eigenvalues(ops600, q)
+        P.operators._ritz_eigenvalues(ops600, q[:, keep])
+
+
+@pytest.mark.parametrize(
+    "L,n,tau,omega",
+    [
+        (30.0, 600, 1.0, 3.0),
+        (20.0, 1000, 10.0, 15.0),
+        # No window node: the off-window block is the whole grid.
+        (30.0, 600, 0.01, 3.0),
+        # Every node in the window: the band block has no rows and no columns.
+        (30.0, 600, 29.99, 3.0),
+    ],
+)
+def test_ritz_basis_layout(L, n, tau, omega):
+    ops = P.build_limiting_operators(P.build_line_grid(L, n), tau=tau, omega=omega)
+    q = P.operators._ritz_basis(ops)
+    window = np.flatnonzero(ops.chi)
+    unit = np.zeros((n, window.size))
+    unit[window, np.arange(window.size)] = 1.0
+    assert np.array_equal(q[:, : window.size], unit)
+    assert not q[window, window.size :].any()
+    assert np.abs(q.T @ q - np.eye(q.shape[1])).max() <= 1e-14
+    evals, bound = P.operators._ritz_eigenvalues(ops, q)
+    full = np.linalg.eigvalsh(dense_T(ops))[::-1]
+    assert np.abs(evals - full).max() <= 1e-13
+    assert bound <= 1e-12
 
 
 def test_ritz_basis_refuses_budget_before_allocating():
