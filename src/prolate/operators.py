@@ -23,10 +23,11 @@ Every eigenvector of T with a nonzero eigenvalue lies in range chi +
 range S: the window nodes and the band-limited functions e^{i xi x},
 |xi| < omega.  ``sum_operator_spectrum`` takes the eigenvalues of T by
 Rayleigh-Ritz on k orthonormal columns q spanning that subspace to
-roundoff: the unit vectors at the w window nodes, so that q^T chi q is
-exactly diag(I_w, 0), then about omega L + 40 columns orthonormalized
-on the rows off the window.  The work is O(n k^2) with no n x n array,
-and a Weyl bound certifies the eigenvalues.
+roundoff: the unit vectors at the window nodes and their mirror nodes,
+so that q^T chi q is exactly diagonal, then about omega L + 40 columns
+even and odd under x -> -x, each parity orthonormalized on the
+right-hand half of the other rows and mirrored.  The work is O(n k^2)
+with no n x n array, and a Weyl bound certifies the eigenvalues.
 """
 
 from __future__ import annotations
@@ -144,9 +145,21 @@ class GridFunction:
         return float(np.sqrt(np.sum(self.grid.weights * np.abs(self.values) ** 2)))
 
     def normalized(self) -> "GridFunction":
-        n = self.norm()
-        if n == 0.0:
-            raise ValueError("cannot normalize the zero function")
+        """The function divided by its norm.
+
+        Raises
+        ------
+        ValueError
+            For non-finite samples, the zero function, or a norm whose square
+            overflows a float or falls below the smallest normal one, where
+            it has lost digits.
+        """
+        if not np.isfinite(self.values).all():
+            raise ValueError("cannot normalize a function with non-finite samples")
+        with np.errstate(over="ignore"):
+            n = self.norm()
+        if not math.sqrt(np.finfo(float).tiny) <= n < math.inf:
+            raise ValueError(f"cannot normalize a function of norm {n:g} in floating point")
         return GridFunction(grid=self.grid, values=self.values / n)
 
     def band_energy(self, omega: float) -> float:
@@ -455,49 +468,68 @@ def _ritz_frequency_count(half_width: float, omega: float) -> int:
 def _ritz_column_bound(half_width: float, n: int, tau: float, omega: float) -> int:
     """Upper bound on the column count of ``_ritz_basis``, from the grid's arguments alone.
 
-    The basis has 2M frequency columns and one per window node.  Of the m
-    equal panels of ``build_line_grid``, at most ceil(tau m / L) + 1 meet
-    (-tau, tau), and each holds at most ceil(n / m) nodes.
+    The basis has at most 2M frequency columns and one unit column per window
+    node, mirror of one, or centre node.  Of the m equal panels of
+    ``build_line_grid``, at most ceil(tau m / L) + 1 meet (-tau, tau), the
+    window's mirror image meets the same ones, and each holds at most
+    ceil(n / m) nodes.
     """
     m = _panel_count(n)
     panels = math.ceil(tau / half_width * m) + 1 if 0 < tau < half_width else m
     return 2 * _ritz_frequency_count(half_width, omega) + min(n, panels * -(-n // m))
 
 
-def _ritz_basis(ops: LimitingOperators) -> np.ndarray:
-    """Orthonormal columns spanning range chi + range S to roundoff, window nodes first.
+def _ritz_basis(ops: LimitingOperators) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal columns q spanning range chi + range S to roundoff, and the rows of its unit block.
 
-    The first w columns are the unit vectors at the w window nodes, which span range chi.
     S has the kernel (1/pi) integral_0^omega cos(xi (x - y)) d xi.  Its range is spanned
     to roundoff by sqrt(w) cos(xi_j x) and sqrt(w) sin(xi_j x) at M Gauss nodes xi_j of
     (0, omega), as ``_ritz_eigenvalues`` certifies after the fact, although the rule does
-    not integrate the kernel to roundoff for every |x - y| <= 2L at large L.  Such a column
-    minus its off-window rows lies in range chi, so the other columns are the reduced QR
-    factor of those rows alone.  Raises ValueError where n x (2M + w) exceeds the budget.
+    not integrate the kernel to roundoff for every |x - y| <= 2L at large L.
+
+    Row i mirrors row n - 1 - i where ``grid.panel_orders`` is a palindrome.  The first
+    w' columns are the unit vectors at the window rows, their mirror rows and an odd
+    grid's centre row; they span range chi.  The other rows come in mirror pairs, on
+    which the cos columns are even and the sin columns odd.  So the next columns are the
+    reduced QR factor of the cos columns on the right-hand rows of the pairs, divided by
+    sqrt(2) and copied onto the mirror rows, and the last ones the same with sin, copied
+    with their sign flipped: k = w' + 2 min(M, (n - w') / 2).  On any other layout every
+    row is a unit column.  Raises ValueError where the n x k basis exceeds the budget.
     """
     grid = ops.grid
+    n = grid.size
     m = _ritz_frequency_count(grid.half_width, ops.omega)
-    window, off = np.flatnonzero(ops.chi), np.flatnonzero(ops.chi == 0.0)
-    _require_dense_budget(grid.size, "Ritz basis of chi + S", cols=2 * m + window.size)
+    if grid.panel_orders == grid.panel_orders[::-1]:
+        unit = (ops.chi != 0.0) | (ops.chi[::-1] != 0.0)
+        unit[n // 2] |= n % 2 == 1  # the centre row of an odd grid is its own mirror
+    else:
+        unit = np.ones(n, dtype=bool)
+    rows = np.flatnonzero(unit)
+    right = np.flatnonzero(~unit[n // 2 :]) + n // 2
+    pairs = min(m, right.size)
+    _require_dense_budget(n, "Ritz basis of chi + S", cols=rows.size + 2 * pairs)
     xi = 0.5 * ops.omega * (1.0 + gauss_legendre_rule(m).nodes)
-    band = np.empty((off.size, 2 * m))
-    np.multiply.outer(grid.points[off], xi, out=band[:, :m])  # the phases xi_j x
-    np.sin(band[:, :m], out=band[:, m:])
-    np.cos(band[:, :m], out=band[:, :m])
-    band *= np.sqrt(grid.weights[off])[:, None]
-    band = np.linalg.qr(band)[0]
-    q = np.zeros((grid.size, window.size + band.shape[1]))
-    q[window, np.arange(window.size)] = 1.0
-    q[off, window.size :] = band
-    return q
+    phase = np.multiply.outer(grid.points[right], xi)
+    sqrt_w = np.sqrt(grid.weights[right])[:, None]
+    # Orthonormal on the right-hand rows, so halved on each of the two halves.
+    even, odd = (np.linalg.qr(sqrt_w * f(phase))[0] * math.sqrt(0.5) for f in (np.cos, np.sin))
+    q = np.zeros((n, rows.size + 2 * pairs))
+    q[rows, np.arange(rows.size)] = 1.0
+    e, o = slice(rows.size, rows.size + pairs), slice(rows.size + pairs, None)
+    q[right, e] = q[n - 1 - right, e] = even
+    q[right, o] = odd
+    q[n - 1 - right, o] = -odd
+    return q, rows
 
 
-def _ritz_eigenvalues(ops: LimitingOperators, q: np.ndarray) -> tuple[np.ndarray, float]:
+def _ritz_eigenvalues(
+    ops: LimitingOperators, q: np.ndarray, rows: np.ndarray
+) -> tuple[np.ndarray, float]:
     """All n eigenvalues of T, descending, by Rayleigh-Ritz on the orthonormal columns of q.
 
-    The first w columns of q are the unit vectors at the w window nodes, as in
-    ``_ritz_basis``, so q^T chi q = diag(I_w, 0) and P chi P = chi for P = q q^T.
-    S is positive semidefinite, so
+    The first w' columns of q are the unit vectors at ``rows``, which hold every window
+    node, and the others vanish there, as in ``_ritz_basis``.  So q^T chi q is diagonal,
+    chi[rows] then zeros, and P chi P = chi for P = q q^T.  S is positive semidefinite, so
 
         ||T - P T P||_2 <= ||S q - q q^T S q||_F + |tr S - tr q^T S q| = eps.
 
@@ -520,7 +552,7 @@ def _ritz_eigenvalues(ops: LimitingOperators, q: np.ndarray) -> tuple[np.ndarray
             f"Ritz basis of order {k} misses the spectrum of T: Weyl bound {bound:.3g} "
             f"exceeds {RITZ_TOLERANCE:g}"
         )
-    a[np.diag_indices(np.count_nonzero(ops.chi))] += 1.0  # q^T T q
+    a[np.diag_indices(rows.size)] += ops.chi[rows]  # q^T T q
     ritz = _symmetric_eigdesc(a, vectors=False)
     return np.sort(np.concatenate([ritz, np.zeros(n - k)]))[::-1], bound
 
@@ -532,9 +564,11 @@ def sum_operator_spectrum(
 
     The eigenvectors of T with nonzero eigenvalues lie in range chi +
     range S, which k orthonormal columns q span to roundoff: the unit
-    vectors at the w window nodes, then the QR factor of sqrt(w) cos(xi_j x),
-    sqrt(w) sin(xi_j x) at M = ceil(omega L / 2) + 20 Gauss nodes xi_j of
-    (0, omega) on the n - w rows off the window (k = w + min(2M, n - w)).
+    vectors at the window nodes and their mirror nodes (w' in all), then
+    the QR factors of sqrt(w) cos(xi_j x) and of sqrt(w) sin(xi_j x) at
+    M = ceil(omega L / 2) + 20 Gauss nodes xi_j of (0, omega), each taken
+    on the right-hand half of the other rows and mirrored as an even and
+    an odd block (k = w' + 2 min(M, (n - w') / 2)); see ``_ritz_basis``.
     The eigenvalues of q^T T q, padded with n - k zeros, are all n
     eigenvalues of T to within the Weyl bound ``ritz_bound``, about 1e-13
     on the line grids.  S q is applied by FFT, so no n x n array is
@@ -569,7 +603,7 @@ def sum_operator_spectrum(
     if spec.n_modes < n_report:
         raise ValueError(f"reference spectrum has {spec.n_modes} modes, need {n_report}")
 
-    evals, bound = _ritz_eigenvalues(ops, _ritz_basis(ops))
+    evals, bound = _ritz_eigenvalues(ops, *_ritz_basis(ops))
     roots = np.sqrt(spec.eigenvalues[:n_report])
     predicted_above = 1.0 + roots  # descending
     predicted_below = np.sort(1.0 - roots)[::-1]  # descending

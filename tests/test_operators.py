@@ -4,6 +4,7 @@ spectral picture of their sum."""
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -300,6 +301,19 @@ def test_grid_function_guards(gauss_grid):
         zero.normalized()
 
 
+@pytest.mark.parametrize("sample", [1e300, np.nan, np.inf, -np.inf])
+def test_grid_function_normalized_refuses_unrepresentable_norms(gauss_grid, sample):
+    # 1e300 squared overflows, so the norm is inf and the quotient would be the
+    # zero function; a NaN or infinite sample would make every value NaN.
+    values = np.exp(-(gauss_grid.points**2))
+    values[gauss_grid.size // 2] = sample
+    f = P.GridFunction(grid=gauss_grid, values=values)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="cannot normalize"):
+            f.normalized()
+
+
 def test_grid_function_values_are_a_read_only_copy(gauss_grid):
     raw = np.exp(-(gauss_grid.points**2)).astype(complex)
     expected = raw.copy()
@@ -506,6 +520,10 @@ def panel_grid(L, orders):
         pytest.param(3.0, (4, 6), 1.9, 0.5, id="3.0-panels4,6-1.9-0.5"),
         # c = 150: half the nodes lie in the window, so k = 500 + 2M = 840.
         (20.0, 1000, 10.0, 15.0),
+        # Non-palindromic layouts: row i does not mirror row n - 1 - i, and a
+        # basis paired by index would leave Weyl bounds of 0.58 and 0.97.
+        pytest.param(12.0, (4, 6) * 12, 1.9, 1.5, id="12.0-panels(4,6)x12-1.9-1.5"),
+        pytest.param(12.0, (5,) * 20 + (6,) * 20, 2.0, 2.0, id="12.0-panels5x20,6x20-2.0-2.0"),
     ],
 )
 def test_sum_spectrum_parity_split_matches_full_solve(L, n, tau, omega):
@@ -550,10 +568,10 @@ def test_ritz_column_bound_covers_the_basis(L, n, tau_fraction, omega_fraction):
     tau = tau_fraction * L
     ops = P.build_limiting_operators(grid, tau=tau, omega=omega)
     bound = P.operators._ritz_column_bound(L, n, tau, omega)
-    window = np.count_nonzero(ops.chi)
     m = P.operators._ritz_frequency_count(L, omega)
-    columns = P.operators._ritz_basis(ops).shape[1]
-    assert columns == window + min(2 * m, n - window)
+    q, rows = P.operators._ritz_basis(ops)
+    columns = q.shape[1]
+    assert columns == rows.size + 2 * min(m, (n - rows.size) // 2)
     assert bound >= columns
 
 
@@ -567,13 +585,12 @@ def test_ritz_column_bound_admits_a_large_grid():
 
 
 def test_ritz_step_refuses_a_basis_missing_frequencies(ops600):
-    q = P.operators._ritz_basis(ops600)
-    window = np.count_nonzero(ops600.chi)
-    # The window block and every other band column: still orthonormal, but
-    # about half of range S is missing.
-    keep = np.r_[0:window, window : q.shape[1] : 2]
+    q, rows = P.operators._ritz_basis(ops600)
+    # The unit block and every other even and odd column: still orthonormal,
+    # but about half of range S is missing.
+    keep = np.r_[0 : rows.size, rows.size : q.shape[1] : 2]
     with pytest.raises(NumericalFailure, match="Weyl bound"):
-        P.operators._ritz_eigenvalues(ops600, q[:, keep])
+        P.operators._ritz_eigenvalues(ops600, q[:, keep], rows)
 
 
 @pytest.mark.parametrize(
@@ -581,30 +598,40 @@ def test_ritz_step_refuses_a_basis_missing_frequencies(ops600):
     [
         (30.0, 600, 1.0, 3.0),
         (20.0, 1000, 10.0, 15.0),
-        # No window node: the off-window block is the whole grid.
+        # No window node: the band columns cover the whole grid.
         (30.0, 600, 0.01, 3.0),
         # Every node in the window: the band block has no rows and no columns.
         (30.0, 600, 29.99, 3.0),
+        # Mirror nodes 142 and 157 get chi = 0 and 1: the unit block holds
+        # w + 1 rows, one of them off the window.
+        (20.0, 300, 1.0, 3.0),
     ],
 )
 def test_ritz_basis_layout(L, n, tau, omega):
     ops = P.build_limiting_operators(P.build_line_grid(L, n), tau=tau, omega=omega)
-    q = P.operators._ritz_basis(ops)
+    q, rows = P.operators._ritz_basis(ops)
     window = np.flatnonzero(ops.chi)
-    unit = np.zeros((n, window.size))
-    unit[window, np.arange(window.size)] = 1.0
-    assert np.array_equal(q[:, : window.size], unit)
-    assert not q[window, window.size :].any()
+    mirrored = np.flatnonzero((ops.chi == 0) & (ops.chi[::-1] != 0))
+    assert mirrored.size == (1 if n == 300 else 0)
+    assert np.array_equal(rows, np.union1d(window, mirrored))
+    unit = np.zeros((n, rows.size))
+    unit[rows, np.arange(rows.size)] = 1.0
+    assert np.array_equal(q[:, : rows.size], unit)
+    band = q[:, rows.size :]
+    assert not band[rows].any()
+    even, odd = np.split(band, 2, axis=1)
+    assert np.array_equal(even[::-1], even)
+    assert np.array_equal(odd[::-1], -odd)
     assert np.abs(q.T @ q - np.eye(q.shape[1])).max() <= 1e-14
-    evals, bound = P.operators._ritz_eigenvalues(ops, q)
+    evals, bound = P.operators._ritz_eigenvalues(ops, q, rows)
     full = np.linalg.eigvalsh(dense_T(ops))[::-1]
     assert np.abs(evals - full).max() <= 1e-13
     assert bound <= 1e-12
 
 
 def test_ritz_basis_refuses_budget_before_allocating():
-    # A window of nearly all 12000 nodes plus 2M = 1840 frequency columns
-    # exceeds the 1 GiB budget.
+    # A window of nearly all 12000 nodes makes a basis of about 12000 x 12000,
+    # over the 1 GiB budget.
     ops = P.build_limiting_operators(P.build_line_grid(600.0, 12000), tau=599.0, omega=3.0)
     tracemalloc.start()
     try:
@@ -614,6 +641,21 @@ def test_ritz_basis_refuses_budget_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def test_sum_spectrum_orthonormalises_half_width_blocks(monkeypatch):
+    # Each QR of the Ritz basis covers the right-hand rows of one parity:
+    # at most ceil(n / 2) rows and M columns, not the n - w rows and 2M columns
+    # of a basis blind to the mirror symmetry.
+    L, n, tau, omega = 60.0, 1200, 1.0, 3.0
+    ops = P.build_limiting_operators(P.build_line_grid(L, n), tau=tau, omega=omega)
+    spec = P.prolate_spectrum(ops.c, 6)
+    shapes, qr = [], np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr", lambda a, *args, **kw: shapes.append(a.shape) or qr(a, *args, **kw))
+    P.sum_operator_spectrum(ops, 6, spec)
+    m = P.operators._ritz_frequency_count(L, omega)
+    assert len(shapes) == 2
+    assert all(rows <= -(-n // 2) and cols <= m for rows, cols in shapes)
 
 
 def test_sum_spectrum_peak_memory_below_one_dense_T():
