@@ -120,9 +120,16 @@ def gauss_legendre_rule(order: int) -> QuadratureRule:
     Returns
     -------
     QuadratureRule
+
+    Raises
+    ------
+    ValueError
+        An order below 1, or an order x order companion matrix over the
+        dense-matrix budget, refused before it is built.
     """
     if order < 1:
         raise ValueError(f"quadrature order must be >= 1, got {order}")
+    _require_dense_budget(order, "Gauss-Legendre companion matrix")
     nodes, weights = np.polynomial.legendre.leggauss(order)
     nodes.flags.writeable = False
     weights.flags.writeable = False

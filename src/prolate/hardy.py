@@ -189,8 +189,9 @@ def _finite_square(value: float, name: str) -> float:
 
 
 def _require_unit_norm(f: GridFunction) -> None:
-    if not abs(f.norm() - 1.0) <= 1e-8:
-        raise ValueError(f"function must have unit norm, got ||f|| = {f.norm():.10f}")
+    norm = f.norm()
+    if not abs(norm - 1.0) <= 1e-8:
+        raise ValueError(f"function must have unit norm, got ||f|| = {norm:.10f}")
 
 
 def concentration_alpha(f: GridFunction, T_width: float) -> float:

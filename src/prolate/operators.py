@@ -1,14 +1,16 @@
 """Time-limiting and band-limiting operators on a truncated line.
 
-L^2(R) is discretized on a symmetric grid over (-L, L) built from
-Gauss-Legendre panels.  On it this module assembles the time limiter
-chi (multiplication by the indicator of (-tau, tau)), the band limiter
-S (the sinc-kernel integral operator with bandwidth omega), and their
-sum T = chi + S, then verifies the spectral picture of T numerically:
-its eigenvalues away from {0, 1} come in pairs 1 +/- sqrt(lambda_n)
-where lambda_n are the sinc-kernel eigenvalues at c = omega * tau,
-eigenfunctions are assembled from a prolate mode and its bandlimited
-extension, and shifted modulated Gaussians witness 0 in the spectrum.
+L^2(R) is discretized on a grid over (-L, L) of equal-width
+Gauss-Legendre panels mirrored about 0; a ``LineGrid`` is that panel
+layout, with the panel and slot of every node.  On it this module
+assembles the time limiter chi (multiplication by the indicator of
+(-tau, tau)), the band limiter S (the sinc-kernel integral operator
+with bandwidth omega), and their sum T = chi + S, then verifies the
+spectral picture of T numerically: its eigenvalues away from {0, 1}
+come in pairs 1 +/- sqrt(lambda_n) where lambda_n are the sinc-kernel
+eigenvalues at c = omega * tau, eigenfunctions are assembled from a
+prolate mode and its bandlimited extension, and shifted modulated
+Gaussians witness 0 in the spectrum.
 
 All operator matrices act on weighted samples u = sqrt(w) f, which
 keeps them real symmetric; ``GridFunction`` stores plain samples and
@@ -16,8 +18,9 @@ keeps them real symmetric; ``GridFunction`` stores plain samples and
 
 The grid's panels all have the same width, so an entry of S depends on
 its row and column panel only through their offset: S is block
-Toeplitz.  ``BandLimiter`` stores the FFT of one kernel block per
-offset and applies S in O(n log n); no n x n matrix is formed.
+Toeplitz on the grid's slots.  ``BandLimiter`` stores the FFT of one
+kernel block per offset and applies S in O(n log n); no n x n matrix is
+formed.
 
 Every eigenvector of T with a nonzero eigenvalue lies in range chi +
 range S: the window nodes and the band-limited functions e^{i xi x},
@@ -80,25 +83,66 @@ RITZ_BLOCK = 32
 
 @dataclass(frozen=True, eq=False)
 class LineGrid:
-    """Symmetric quadrature grid for L^2(-L, L).
+    """Composite Gauss-Legendre grid on (-L, L): equal-width panels mirrored about 0.
+
+    The grid is its panel layout: the constructor maps the Gauss-Legendre
+    rule of each panel's order affinely onto the panel and numbers every
+    node by its panel and slot.  The slots of a panel are the nodes of
+    every distinct order, each order's in turn, and a panel of one order
+    leaves the slots of the others empty, so the kernel of S depends on
+    the panels of two nodes only through their offset.
 
     Attributes
     ----------
     half_width : float
         The grid covers (-half_width, half_width).
+    panel_orders : tuple of int
+        Node count of each equal-width panel, left to right; it reads the
+        same backwards, so node i mirrors node size - 1 - i.
     points : ndarray
         Strictly increasing nodes, symmetric about 0.
     weights : ndarray
         Positive quadrature weights summing to 2 * half_width.
-    panel_orders : tuple of int
-        Node count of each equal-width panel, left to right; empty for a
-        grid without that layout, on which no band limiter can be built.
+    panel, slot : ndarray of int
+        Panel and slot of every node.
+
+    Raises
+    ------
+    ValueError
+        A half-width that is not positive and finite, or panel orders that
+        are empty, not positive integers, or not a palindrome.
     """
 
     half_width: float
-    points: np.ndarray
-    weights: np.ndarray
-    panel_orders: tuple[int, ...] = ()
+    panel_orders: tuple[int, ...]
+    points: np.ndarray = field(init=False)
+    weights: np.ndarray = field(init=False)
+    panel: np.ndarray = field(init=False, repr=False)
+    slot: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        L, orders = self.half_width, self.panel_orders
+        if not L > 0 or not math.isfinite(L):
+            raise ValueError(f"half-width L must be positive and finite, got {L}")
+        counts = np.asarray(orders)
+        if counts.ndim != 1 or not counts.size or counts.dtype.kind not in "iu" or counts.min() < 1:
+            raise ValueError(f"panel orders must be positive integers, at least one, got {orders}")
+        if not np.array_equal(counts, counts[::-1]):
+            raise ValueError(f"panel orders must read the same backwards, got {orders}")
+        distinct = sorted(set(orders))
+        rules = [gauss_legendre_rule(order) for order in distinct]
+        first = np.cumsum([0] + distinct[:-1])[np.searchsorted(distinct, counts)]
+        starts = np.cumsum(counts) - counts
+        panel = np.repeat(np.arange(counts.size), counts)
+        slot = np.arange(panel.size) - (starts - first)[panel]
+        edges = np.linspace(-L, L, counts.size + 1)
+        mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
+        nodes = np.concatenate([rule.nodes for rule in rules])
+        weights = np.concatenate([rule.weights for rule in rules])
+        object.__setattr__(self, "points", mid[panel] + half[panel] * nodes[slot])
+        object.__setattr__(self, "weights", half[panel] * weights[slot])
+        object.__setattr__(self, "panel", panel)
+        object.__setattr__(self, "slot", slot)
 
     @property
     def size(self) -> int:
@@ -142,7 +186,9 @@ class GridFunction:
         return np.sqrt(self.grid.weights) * self.values
 
     def norm(self) -> float:
-        return float(np.sqrt(np.sum(self.grid.weights * np.abs(self.values) ** 2)))
+        """The L^2 norm on the grid; inf where its square overflows a float."""
+        with np.errstate(over="ignore"):
+            return float(np.sqrt(np.sum(self.grid.weights * np.abs(self.values) ** 2)))
 
     def normalized(self) -> "GridFunction":
         """The function divided by its norm.
@@ -156,8 +202,7 @@ class GridFunction:
         """
         if not np.isfinite(self.values).all():
             raise ValueError("cannot normalize a function with non-finite samples")
-        with np.errstate(over="ignore"):
-            n = self.norm()
+        n = self.norm()
         if not math.sqrt(np.finfo(float).tiny) <= n < math.inf:
             raise ValueError(f"cannot normalize a function of norm {n:g} in floating point")
         return GridFunction(grid=self.grid, values=self.values / n)
@@ -216,11 +261,11 @@ def _panel_orders(n: int) -> list[int]:
 def build_line_grid(L: float, n: int) -> LineGrid:
     """Composite Gauss-Legendre grid with ``n`` nodes on (-L, L).
 
-    The interval is split into equal-width panels of about five nodes
-    each and a Gauss-Legendre rule is mapped affinely onto every panel.
-    This keeps the node density essentially uniform (unlike one global
-    Gauss rule, which crowds nodes at the endpoints) while retaining
-    high per-panel accuracy.
+    The interval is split into a palindromic list of equal-width panels
+    of about five nodes each, and ``LineGrid`` maps a Gauss-Legendre rule
+    affinely onto every panel.  This keeps the node density essentially
+    uniform (unlike one global Gauss rule, which crowds nodes at the
+    endpoints) while retaining high per-panel accuracy.
 
     Parameters
     ----------
@@ -239,29 +284,10 @@ def build_line_grid(L: float, n: int) -> LineGrid:
         Bad arguments, or n points and weights over the dense-matrix budget,
         refused before anything of size n is built.
     """
-    if not L > 0 or not math.isfinite(L):
-        raise ValueError(f"half-width L must be positive and finite, got {L}")
     if n < 2:
         raise ValueError(f"need at least 2 grid points, got {n}")
     _require_dense_budget(n, "grid points and weights", cols=2)
-    orders = _panel_orders(n)
-    counts = np.asarray(orders)
-    edges = np.linspace(-L, L, counts.size + 1)
-    mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
-    starts = np.cumsum(counts) - counts
-    points, weights = np.empty(n), np.empty(n)
-    for order in sorted(set(orders)):  # one rule per distinct order, mapped onto its panels at once
-        rule = gauss_legendre_rule(order)
-        panels = counts == order
-        slots = starts[panels, None] + np.arange(order)
-        points[slots] = mid[panels, None] + half[panels, None] * rule.nodes
-        weights[slots] = half[panels, None] * rule.weights
-    return LineGrid(
-        half_width=float(L),
-        points=points,
-        weights=weights,
-        panel_orders=tuple(orders),
-    )
+    return LineGrid(float(L), tuple(_panel_orders(n)))
 
 
 def build_time_limiter(grid: LineGrid, tau: float) -> np.ndarray:
@@ -293,10 +319,8 @@ class BandLimiter:
 
     S[i, j] = sqrt(w_i) k_omega(x_i - x_j) sqrt(w_j) depends on the panels
     a, b of rows i and j only through a - b, so S is block Toeplitz with
-    one kernel block B_(a-b) per offset.  Each node is a slot of its
-    panel: the slots are the nodes of every distinct panel order (at most
-    two), and a panel leaves the slots of the other order empty.  The
-    layout is then exactly block Toeplitz on mixed-order grids too.
+    one kernel block B_(a-b) per offset, indexed by the slots of
+    ``LineGrid``; mixed-order grids included.
 
     Attributes
     ----------
@@ -306,7 +330,7 @@ class BandLimiter:
         embedded in a circulant of period 2m; applies S by circular
         convolution.
     panel, slot : ndarray of int
-        Panel and slot of every grid node.
+        The grid's panel and slot of every node.
     """
 
     spectrum: np.ndarray
@@ -342,8 +366,7 @@ def build_band_operator(grid: LineGrid, omega: float) -> BandLimiter:
     ValueError
         If omega <= 0, if the sampling adequacy condition
         max_spacing * omega < 1 fails (the kernel oscillation would be
-        under-resolved), if the grid lacks the equal-panel layout of
-        ``build_line_grid``, or if the 2m blocks of p x p kernel values
+        under-resolved), or if the 2m blocks of p x p kernel values
         exceed the dense-matrix budget.
     """
     if not omega > 0:
@@ -354,18 +377,11 @@ def build_band_operator(grid: LineGrid, omega: float) -> BandLimiter:
             f"grid too coarse for omega={omega}: max spacing h={h:.4g} "
             f"gives h*omega={h * omega:.4g} >= 1"
         )
-    orders = np.asarray(grid.panel_orders, dtype=int)
-    if orders.sum() != grid.size:
-        raise ValueError("the band limiter needs a grid with the panel layout of build_line_grid")
-    m = orders.size
+    m = len(grid.panel_orders)
     distinct = sorted(set(grid.panel_orders))
     p = sum(distinct)
     _require_dense_budget(2 * m * p, "kernel blocks of S", cols=p)
     rules = [gauss_legendre_rule(order) for order in distinct]
-    first_slots = np.cumsum([0] + distinct[:-1])
-    slots_of = {order: first + np.arange(order) for order, first in zip(distinct, first_slots)}
-    panel = np.repeat(np.arange(m), orders)
-    slot = np.concatenate([slots_of[order] for order in grid.panel_orders])
 
     half = grid.half_width / m
     offsets = half * np.concatenate([rule.nodes for rule in rules])
@@ -377,8 +393,8 @@ def build_band_operator(grid: LineGrid, omega: float) -> BandLimiter:
     circulant = np.concatenate([ahead, np.zeros((1, p, p)), behind])
     return BandLimiter(
         spectrum=np.fft.rfft(circulant, axis=0),
-        panel=panel,
-        slot=slot,
+        panel=grid.panel,
+        slot=grid.slot,
     )
 
 
@@ -487,23 +503,20 @@ def _ritz_basis(ops: LimitingOperators) -> tuple[np.ndarray, np.ndarray]:
     (0, omega), as ``_ritz_eigenvalues`` certifies after the fact, although the rule does
     not integrate the kernel to roundoff for every |x - y| <= 2L at large L.
 
-    Row i mirrors row n - 1 - i where ``grid.panel_orders`` is a palindrome.  The first
+    Row i mirrors row n - 1 - i, as on every ``LineGrid``.  The first
     w' columns are the unit vectors at the window rows, their mirror rows and an odd
     grid's centre row; they span range chi.  The other rows come in mirror pairs, on
     which the cos columns are even and the sin columns odd.  So the next columns are the
     reduced QR factor of the cos columns on the right-hand rows of the pairs, divided by
     sqrt(2) and copied onto the mirror rows, and the last ones the same with sin, copied
-    with their sign flipped: k = w' + 2 min(M, (n - w') / 2).  On any other layout every
-    row is a unit column.  Raises ValueError where the n x k basis exceeds the budget.
+    with their sign flipped: k = w' + 2 min(M, (n - w') / 2).  Raises ValueError where
+    the n x k basis exceeds the budget.
     """
     grid = ops.grid
     n = grid.size
     m = _ritz_frequency_count(grid.half_width, ops.omega)
-    if grid.panel_orders == grid.panel_orders[::-1]:
-        unit = (ops.chi != 0.0) | (ops.chi[::-1] != 0.0)
-        unit[n // 2] |= n % 2 == 1  # the centre row of an odd grid is its own mirror
-    else:
-        unit = np.ones(n, dtype=bool)
+    unit = (ops.chi != 0.0) | (ops.chi[::-1] != 0.0)
+    unit[n // 2] |= n % 2 == 1  # the centre row of an odd grid is its own mirror
     rows = np.flatnonzero(unit)
     right = np.flatnonzero(~unit[n // 2 :]) + n // 2
     pairs = min(m, right.size)

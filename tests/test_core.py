@@ -401,6 +401,26 @@ def test_extension_refuses_oversized_kernel_before_allocating(spec3):
     assert peak < 2**20
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: P.gauss_legendre_rule(20000), id="rule"),
+        pytest.param(lambda: P.prolate_spectrum(3.0, 1, order=20000), id="spectrum"),
+        pytest.param(lambda: P.LineGrid(10.0, (20000,)), id="line-grid"),
+    ],
+)
+def test_gauss_rule_refuses_budget_before_allocating(call):
+    # The rule of order 20000 would solve a 20000 x 20000 companion matrix of 2.98 GiB.
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="budget"):
+            call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 def test_extension_kernel_evaluated_once_per_spectrum_and_points(monkeypatch):
     spec = P.prolate_spectrum(3.0, 6, order=120)
     calls = []

@@ -4,6 +4,7 @@ and contradiction chains of the uncertainty-principle verifier."""
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -304,6 +305,18 @@ def test_beta_rejects_non_unit_function(gauss_grid):
     not_unit = P.GridFunction.from_callable(gauss_grid, lambda x: np.exp(-(x**2)))
     with pytest.raises(ValueError, match="unit"):
         P.concentration_beta(not_unit, 2.0)
+
+
+@pytest.mark.parametrize("concentration", [P.concentration_alpha, P.concentration_beta])
+@pytest.mark.parametrize("scale", [1e300, 1e-170])
+def test_concentration_refuses_unrepresentable_norms(gauss_grid, concentration, scale):
+    # The squares of 1e300 e^{-x^2} overflow to a norm of inf, those of 1e-170 e^{-x^2}
+    # underflow to a norm of 0: both are refused as non-unit, with no numpy warning.
+    f = P.GridFunction.from_callable(gauss_grid, lambda x: scale * np.exp(-(x**2)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="unit norm"):
+            concentration(f, 2.0)
 
 
 def test_kept_beta_equals_beta_of_a_fresh_function(unit_gauss):

@@ -1,6 +1,6 @@
 """Checks on the package source: no unused imports, no unreferenced private functions, methods or fields,
-no default that only tests override, no test-only dependency loaded by ``import prolate``, no module-level
-result cache."""
+no default that only tests override, no dataclass field with a constructor default, no test-only dependency
+loaded by ``import prolate``, no module-level result cache."""
 
 import ast
 import functools
@@ -90,6 +90,26 @@ def test_every_field_is_read_as_an_attribute():
         if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name) and node.target.id not in read
     }
     assert unread == set()
+
+
+def test_no_dataclass_field_has_a_constructor_default():
+    # A constructor default is a switch callers can leave unset; only derived state,
+    # declared field(init=False, ...), may carry a value.
+    defaulted = {
+        f"{cls.name}.{node.target.id}"
+        for tree in MODULES.values()
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        and any("dataclass" in ast.unparse(decorator) for decorator in cls.decorator_list)
+        for node in cls.body
+        if isinstance(node, ast.AnnAssign) and node.value is not None
+        and not (
+            isinstance(node.value, ast.Call)
+            and ast.unparse(node.value.func) == "field"
+            and any(kw.arg == "init" and ast.unparse(kw.value) == "False" for kw in node.value.keywords)
+        )
+    }
+    assert defaulted == set()
 
 
 def test_every_default_is_overridden_outside_the_tests():

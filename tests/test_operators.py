@@ -12,6 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import prolate as P
+import prolate.core
 from conftest import dense_S, dense_T, with_shifted_root
 from prolate.core import NumericalFailure, gauss_legendre_rule
 
@@ -100,6 +101,29 @@ def test_grid_rejects_bad_arguments():
         P.build_line_grid(1.0, 1)
 
 
+@pytest.mark.parametrize(
+    "L,orders,message",
+    [
+        (3.0, (), "positive integers"),
+        (3.0, (5, 0, 5), "positive integers"),
+        (3.0, (5.0, 5.0), "positive integers"),
+        (0.0, (5,), "half-width"),
+        (-3.0, (5,), "half-width"),
+        (math.inf, (5,), "half-width"),
+        (math.nan, (5,), "half-width"),
+        # Row i would not mirror row n - 1 - i, which the Ritz basis of T relies on.
+        (3.0, (4, 6), "backwards"),
+        (12.0, (4, 6) * 12, "backwards"),
+        (12.0, (5,) * 20 + (6,) * 20, "backwards"),
+    ],
+    ids=["empty", "zero-order", "float-orders", "zero-width", "negative-width", "inf-width", "nan-width",
+         "panels4,6", "panels(4,6)x12", "panels5x20,6x20"],
+)
+def test_line_grid_refuses_bad_layouts(L, orders, message):
+    with pytest.raises(ValueError, match=message):
+        P.LineGrid(L, orders)
+
+
 def test_grid_refuses_budget_before_allocating():
     # 10^10 points and weights need 149 GiB; the panel list alone would hold 2 * 10^9 entries.
     tracemalloc.start()
@@ -131,13 +155,11 @@ def test_time_limiter_window_node_count(grid600):
 
 
 def test_time_limiter_zero_exactly_at_window_edge():
-    grid = P.LineGrid(
-        half_width=2.0,
-        points=np.array([-1.5, -1.0, 0.0, 1.0, 1.5]),
-        weights=np.full(5, 0.8),
-    )
-    chi = P.build_time_limiter(grid, 1.0)
-    assert chi.tolist() == [0.0, 0.0, 1.0, 0.0, 0.0]
+    # Three panels of five nodes on (-3, 3): the middle node of each outer panel is its centre, +/-2.
+    grid = P.build_line_grid(3.0, 15)
+    assert grid.points[[2, 12]].tolist() == [-2.0, 2.0]
+    chi = P.build_time_limiter(grid, 2.0)
+    assert chi.tolist() == [0.0] * 3 + [1.0] * 9 + [0.0] * 3
 
 
 def test_time_limiter_rejects_bad_window(grid600):
@@ -255,29 +277,26 @@ def test_band_matvec_applies_to_columns(ops600):
 
 
 def test_band_operator_needs_panel_layout():
-    grid = P.LineGrid(
-        half_width=2.0, points=np.linspace(-1.5, 1.5, 7), weights=np.full(7, 4.0 / 7)
-    )
-    with pytest.raises(ValueError, match="panel layout"):
-        P.build_band_operator(grid, 1.0)
-    band = P.build_band_operator(P.build_line_grid(2.0, 7), 1.0)
+    grid = P.build_line_grid(2.0, 7)
+    band = P.build_band_operator(grid, 1.0)
+    assert band.panel is grid.panel and band.slot is grid.slot
     with pytest.raises(ValueError, match="grid size"):
         band.matvec(np.ones(6))
 
 
-def test_band_operator_refuses_budget_before_allocating():
-    # One panel of 20000 nodes: two 20000 x 20000 kernel blocks need 6 GiB, and
-    # the Gauss rule of order 20000 alone would solve a 20000 x 20000 companion matrix.
-    n = 20000
-    grid = P.LineGrid(10.0, np.linspace(-10.0, 10.0, n), np.full(n, 20.0 / n), (n,))
+def test_band_operator_refuses_budget_before_allocating(monkeypatch):
+    # Under a 32 KiB budget the 600 points and the 5-node rule fit, but the
+    # 2m = 240 kernel blocks of 5 x 5 need 48 KB.
+    monkeypatch.setattr(prolate.core, "DENSE_BUDGET_BYTES", 2**15)
+    grid = P.build_line_grid(30.0, 600)
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match="budget"):
+        with pytest.raises(ValueError, match="kernel blocks"):
             P.build_band_operator(grid, 1.0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2**20
+    assert peak < 2**15
 
 
 # ---------------------------------------------------------------------------
@@ -497,16 +516,6 @@ def test_sum_spectrum_keeps_no_dense_matrix():
     assert held < 8 * n * n / 4
 
 
-def panel_grid(L, orders):
-    """Equal panels of the given Gauss orders on (-L, L), laid out as given."""
-    edges = np.linspace(-L, L, len(orders) + 1)
-    half = 0.5 * (edges[1] - edges[0])
-    rules = [P.gauss_legendre_rule(order) for order in orders]
-    points = np.concatenate([lo + half * (1.0 + r.nodes) for lo, r in zip(edges, rules)])
-    weights = np.concatenate([half * r.weights for r in rules])
-    return P.LineGrid(float(L), points, weights, tuple(orders))
-
-
 @pytest.mark.parametrize(
     "L,n,tau,omega",
     [
@@ -516,18 +525,12 @@ def panel_grid(L, orders):
         # Mirror nodes 142 and 157 lie within roundoff of -1 and 1 and get
         # chi = 0 and 1, so T does not commute with the reflection.
         (20.0, 300, 1.0, 3.0),
-        # Panels of 4 and 6 nodes on (-3, 3): chi is symmetric, S is not.
-        pytest.param(3.0, (4, 6), 1.9, 0.5, id="3.0-panels4,6-1.9-0.5"),
         # c = 150: half the nodes lie in the window, so k = 500 + 2M = 840.
         (20.0, 1000, 10.0, 15.0),
-        # Non-palindromic layouts: row i does not mirror row n - 1 - i, and a
-        # basis paired by index would leave Weyl bounds of 0.58 and 0.97.
-        pytest.param(12.0, (4, 6) * 12, 1.9, 1.5, id="12.0-panels(4,6)x12-1.9-1.5"),
-        pytest.param(12.0, (5,) * 20 + (6,) * 20, 2.0, 2.0, id="12.0-panels5x20,6x20-2.0-2.0"),
     ],
 )
 def test_sum_spectrum_parity_split_matches_full_solve(L, n, tau, omega):
-    grid = P.build_line_grid(L, n) if isinstance(n, int) else panel_grid(L, n)
+    grid = P.build_line_grid(L, n)
     ops = P.build_limiting_operators(grid, tau=tau, omega=omega)
     report = P.sum_operator_spectrum(ops, 4, P.prolate_spectrum(ops.c, 4))
     full = np.linalg.eigvalsh(dense_T(ops))[::-1]
