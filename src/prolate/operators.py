@@ -27,10 +27,11 @@ range S: the window nodes and the band-limited functions e^{i xi x},
 |xi| < omega.  ``sum_operator_spectrum`` takes the eigenvalues of T by
 Rayleigh-Ritz on k orthonormal columns q spanning that subspace to
 roundoff: the unit vectors at the window nodes and their mirror nodes,
-so that q^T chi q is exactly diagonal, then about omega L + 40 columns
-even and odd under x -> -x, each parity orthonormalized on the
-right-hand half of the other rows and mirrored.  The work is O(n k^2)
-with no n x n array, and a Weyl bound certifies the eigenvalues.
+then about omega L + 40 band-limited columns.  Each column is even or odd
+under x -> -x and S commutes with the mirror, so q and S q are held on the
+right-hand half of the rows, one block per parity, and one FFT applies S
+to an even and an odd column at once.  The work is about n k^2 / 4 with
+no n x n array, and a Weyl bound certifies the eigenvalues.
 """
 
 from __future__ import annotations
@@ -186,9 +187,17 @@ class GridFunction:
         return np.sqrt(self.grid.weights) * self.values
 
     def norm(self) -> float:
-        """The L^2 norm on the grid; inf where its square overflows a float."""
+        """The L^2 norm on the grid; inf only where the norm itself overflows a float.
+
+        The samples are scaled by the power of two of max |f| before they are
+        squared, which is exact, so no square overflows or underflows for
+        want of scale.
+        """
+        modulus = np.abs(self.values)
+        exponent = math.frexp(float(modulus.max()))[1]
+        root = np.sqrt(np.sum(self.grid.weights * np.ldexp(modulus, -exponent) ** 2))
         with np.errstate(over="ignore"):
-            return float(np.sqrt(np.sum(self.grid.weights * np.abs(self.values) ** 2)))
+            return float(np.ldexp(root, exponent))
 
     def normalized(self) -> "GridFunction":
         """The function divided by its norm.
@@ -196,14 +205,14 @@ class GridFunction:
         Raises
         ------
         ValueError
-            For non-finite samples, the zero function, or a norm whose square
-            overflows a float or falls below the smallest normal one, where
-            it has lost digits.
+            For non-finite samples, the zero function, or a norm that
+            overflows a float or is subnormal, where it has lost digits and
+            the complex division by it overflows.
         """
         if not np.isfinite(self.values).all():
             raise ValueError("cannot normalize a function with non-finite samples")
         n = self.norm()
-        if not math.sqrt(np.finfo(float).tiny) <= n < math.inf:
+        if not np.finfo(float).tiny <= n < math.inf:
             raise ValueError(f"cannot normalize a function of norm {n:g} in floating point")
         return GridFunction(grid=self.grid, values=self.values / n)
 
@@ -495,78 +504,136 @@ def _ritz_column_bound(half_width: float, n: int, tau: float, omega: float) -> i
     return 2 * _ritz_frequency_count(half_width, omega) + min(n, panels * -(-n // m))
 
 
-def _ritz_basis(ops: LimitingOperators) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal columns q spanning range chi + range S to roundoff, and the rows of its unit block.
+def _ritz_basis(ops: LimitingOperators) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Orthonormal half-row blocks, one per parity, spanning range chi + range S to roundoff.
 
     S has the kernel (1/pi) integral_0^omega cos(xi (x - y)) d xi.  Its range is spanned
     to roundoff by sqrt(w) cos(xi_j x) and sqrt(w) sin(xi_j x) at M Gauss nodes xi_j of
     (0, omega), as ``_ritz_eigenvalues`` certifies after the fact, although the rule does
     not integrate the kernel to roundoff for every |x - y| <= 2L at large L.
 
-    Row i mirrors row n - 1 - i, as on every ``LineGrid``.  The first
-    w' columns are the unit vectors at the window rows, their mirror rows and an odd
-    grid's centre row; they span range chi.  The other rows come in mirror pairs, on
-    which the cos columns are even and the sin columns odd.  So the next columns are the
-    reduced QR factor of the cos columns on the right-hand rows of the pairs, divided by
-    sqrt(2) and copied onto the mirror rows, and the last ones the same with sin, copied
-    with their sign flipped: k = w' + 2 min(M, (n - w') / 2).  Raises ValueError where
-    the n x k basis exceeds the budget.
+    Row i mirrors row n - 1 - i, as on every ``LineGrid``, so a vector even or odd under
+    x -> -x is fixed by its half rows n // 2, ..., n - 1.  A half column v stands for the
+    vector with v / sqrt(2) on each right-hand row and +v / sqrt(2) (even) or -v / sqrt(2)
+    (odd) on its mirror row; on an odd grid's centre row an even vector holds v itself and
+    an odd one 0.  The map is an isometry, so orthonormal half columns stand for
+    orthonormal vectors.
+
+    The unit rows are the window rows, their mirror rows and an odd grid's centre row, w'
+    in all.  Each block starts with a unit column at each right-hand unit row (the odd
+    block skips the centre row), followed by the reduced QR factor of the cos (even) or
+    sin (odd) columns on the other half rows: k = w' + 2 min(M, (n - w') / 2) columns in
+    all.  Returns the even block, the odd block and the half rows of the even block's
+    unit columns.  Raises ValueError where the n x k basis they stand for exceeds the
+    budget.
     """
     grid = ops.grid
-    n = grid.size
+    n, half = grid.size, grid.size // 2
     m = _ritz_frequency_count(grid.half_width, ops.omega)
     unit = (ops.chi != 0.0) | (ops.chi[::-1] != 0.0)
-    unit[n // 2] |= n % 2 == 1  # the centre row of an odd grid is its own mirror
-    rows = np.flatnonzero(unit)
-    right = np.flatnonzero(~unit[n // 2 :]) + n // 2
-    pairs = min(m, right.size)
-    _require_dense_budget(n, "Ritz basis of chi + S", cols=rows.size + 2 * pairs)
+    unit[half] |= n % 2 == 1  # the centre row of an odd grid is its own mirror
+    rows = np.flatnonzero(unit[half:])
+    other = np.flatnonzero(~unit[half:])
+    pairs = min(m, other.size)
+    _require_dense_budget(n, "Ritz basis of chi + S", cols=2 * rows.size - n % 2 + 2 * pairs)
     xi = 0.5 * ops.omega * (1.0 + gauss_legendre_rule(m).nodes)
-    phase = np.multiply.outer(grid.points[right], xi)
-    sqrt_w = np.sqrt(grid.weights[right])[:, None]
-    # Orthonormal on the right-hand rows, so halved on each of the two halves.
-    even, odd = (np.linalg.qr(sqrt_w * f(phase))[0] * math.sqrt(0.5) for f in (np.cos, np.sin))
-    q = np.zeros((n, rows.size + 2 * pairs))
-    q[rows, np.arange(rows.size)] = 1.0
-    e, o = slice(rows.size, rows.size + pairs), slice(rows.size + pairs, None)
-    q[right, e] = q[n - 1 - right, e] = even
-    q[right, o] = odd
-    q[n - 1 - right, o] = -odd
-    return q, rows
+    phase = np.multiply.outer(grid.points[half + other], xi)
+    sqrt_w = np.sqrt(grid.weights[half + other])[:, None]
+    blocks = []
+    for f, units in ((np.cos, rows), (np.sin, rows[n % 2 :])):
+        q = np.zeros((n - half, units.size + pairs))
+        q[units, np.arange(units.size)] = 1.0
+        q[other, units.size :] = np.linalg.qr(sqrt_w * f(phase))[0]
+        blocks.append(q)
+    return blocks[0], blocks[1], rows
+
+
+def _folded_band(band: BandLimiter, even: np.ndarray, odd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """S on the even and odd half-row columns of ``_ritz_basis``, one FFT per column pair.
+
+    S commutes with the mirror J: x -> -x, so it maps even vectors to even ones and odd
+    to odd.  Column j of each block unfolds into u = even_j + odd_j, and the even and
+    odd parts (Su +/- J Su) / 2, folded back onto the half rows, are S even_j and
+    S odd_j.  ``odd`` has as many columns as ``even`` or one fewer.
+    """
+    n = band.panel.size
+    half, centre = n // 2, n % 2
+    r = math.sqrt(0.5)
+    s_even, s_odd = np.empty_like(even), np.empty_like(odd)
+    for j in range(0, even.shape[1], RITZ_BLOCK):
+        cols = slice(j, j + RITZ_BLOCK)
+        a, b = even[:, cols], odd[:, cols]
+        pair = slice(0, b.shape[1])
+        u = np.empty((n, a.shape[1]))
+        top, bottom = u[half:], u[:half][::-1]  # bottom row i mirrors top row i + centre
+        top[:] = a
+        top[:, pair] += b
+        bottom[:] = a[centre:]
+        bottom[:, pair] -= b[centre:]
+        u[:half] *= r
+        u[half + centre :] *= r
+        y = band.matvec(u)
+        top, bottom = y[half:], y[:half][::-1]
+        s_even[:, cols] = top
+        s_even[centre:, cols] += bottom
+        s_even[centre:, cols] *= r
+        s_odd[:, cols] = top[:, pair]
+        s_odd[centre:, cols] -= bottom[:, pair]
+        s_odd[centre:, cols] *= r
+    s_odd[:centre] = 0.0
+    return s_even, s_odd
 
 
 def _ritz_eigenvalues(
-    ops: LimitingOperators, q: np.ndarray, rows: np.ndarray
+    ops: LimitingOperators, even: np.ndarray, odd: np.ndarray, rows: np.ndarray
 ) -> tuple[np.ndarray, float]:
-    """All n eigenvalues of T, descending, by Rayleigh-Ritz on the orthonormal columns of q.
+    """All n eigenvalues of T, descending, by Rayleigh-Ritz on the folded columns of ``_ritz_basis``.
 
-    The first w' columns of q are the unit vectors at ``rows``, which hold every window
-    node, and the others vanish there, as in ``_ritz_basis``.  So q^T chi q is diagonal,
-    chi[rows] then zeros, and P chi P = chi for P = q q^T.  S is positive semidefinite, so
+    Let q be the n x k unfolded basis, the even block then the odd one.  S maps each
+    parity to itself, so q^T S q is block diagonal with blocks A = Q^T (S Q) of the half-row
+    blocks Q, and the residual S q - q q^T S q has the blocks R = S Q - Q A.  The unit
+    columns hold every window node and the others vanish at ``rows``, so P chi P = chi for
+    P = q q^T.  S is positive semidefinite, so
 
-        ||T - P T P||_2 <= ||S q - q q^T S q||_F + |tr S - tr q^T S q| = eps.
+        ||T - P T P||_2 <= sqrt(||R_even||_F^2 + ||R_odd||_F^2) + |tr S - tr A_even - tr A_odd| = eps.
 
     By Weyl's inequality every eigenvalue of T then lies within eps of the
     eigenvalues of P T P: those of q^T T q, padded with n - k zeros; returns them and eps.
+    On the unit columns at row i and its mirror Ji, q^T chi q is (chi_i + chi_Ji) / 2 on
+    the diagonal of both parities and couples the even and odd column of i by
+    (chi_i - chi_Ji) / 2, which is nonzero where chi is not mirror-symmetric; so q^T T q
+    is solved whole.
 
     Raises NumericalFailure when eps exceeds ``RITZ_TOLERANCE``: q does not
     span the eigenvectors of T.
     """
-    n, k = q.shape
-    s_q = np.empty_like(q)
-    for j in range(0, k, RITZ_BLOCK):
-        s_q[:, j : j + RITZ_BLOCK] = ops.band.matvec(q[:, j : j + RITZ_BLOCK])
-    a = q.T @ s_q
-    s_q -= q @ a  # now the residual (I - P) S q
+    n = ops.grid.size
+    s_even, s_odd = _folded_band(ops.band, even, odd)
+    a_even, a_odd = even.T @ s_even, odd.T @ s_odd
+    s_even -= even @ a_even  # now the residuals (I - P) S q of each parity
+    s_odd -= odd @ a_odd
     trace_s = ops.omega / np.pi * ops.grid.weights.sum()
-    bound = float(np.linalg.norm(s_q) + abs(trace_s - np.trace(a)))
+    bound = math.hypot(np.linalg.norm(s_even), np.linalg.norm(s_odd))
+    bound += abs(trace_s - np.trace(a_even) - np.trace(a_odd))
+    k_even, k = even.shape[1], even.shape[1] + odd.shape[1]
     if not bound <= RITZ_TOLERANCE:
         raise NumericalFailure(
             f"Ritz basis of order {k} misses the spectrum of T: Weyl bound {bound:.3g} "
             f"exceeds {RITZ_TOLERANCE:g}"
         )
-    a[np.diag_indices(rows.size)] += ops.chi[rows]  # q^T T q
-    ritz = _symmetric_eigdesc(a, vectors=False)
+    t = np.zeros((k, k))  # q^T T q
+    t[:k_even, :k_even], t[k_even:, k_even:] = a_even, a_odd
+    # The odd block has no unit column at an odd grid's centre row, rows[0].
+    centre = n % 2
+    right = n // 2 + rows
+    mean = (ops.chi[right] + ops.chi[n - 1 - right]) / 2
+    skew = (ops.chi[right] - ops.chi[n - 1 - right]) / 2
+    e = np.arange(rows.size)
+    o = k_even + np.arange(rows.size - centre)
+    t[e, e] += mean
+    t[o, o] += mean[centre:]
+    t[e[centre:], o] = t[o, e[centre:]] = skew[centre:]
+    ritz = _symmetric_eigdesc(t, vectors=False)
     return np.sort(np.concatenate([ritz, np.zeros(n - k)]))[::-1], bound
 
 
@@ -579,13 +646,14 @@ def sum_operator_spectrum(
     range S, which k orthonormal columns q span to roundoff: the unit
     vectors at the window nodes and their mirror nodes (w' in all), then
     the QR factors of sqrt(w) cos(xi_j x) and of sqrt(w) sin(xi_j x) at
-    M = ceil(omega L / 2) + 20 Gauss nodes xi_j of (0, omega), each taken
-    on the right-hand half of the other rows and mirrored as an even and
-    an odd block (k = w' + 2 min(M, (n - w') / 2)); see ``_ritz_basis``.
-    The eigenvalues of q^T T q, padded with n - k zeros, are all n
-    eigenvalues of T to within the Weyl bound ``ritz_bound``, about 1e-13
-    on the line grids.  S q is applied by FFT, so no n x n array is
-    formed, and the work is O(n k^2).
+    M = ceil(omega L / 2) + 20 Gauss nodes xi_j of (0, omega), an even and
+    an odd block (k = w' + 2 min(M, (n - w') / 2)).  Both blocks are held
+    on the right-hand half of the rows; see ``_ritz_basis``.  The
+    eigenvalues of q^T T q, padded with n - k zeros, are all n eigenvalues
+    of T to within the Weyl bound ``ritz_bound``, about 1e-13 on the line
+    grids.  S is applied by FFT to about k / 2 columns, each an even plus
+    an odd one, and q^T S q and the residual are formed per parity on half
+    the rows, so no n x n array is formed and the work is about n k^2 / 4.
 
     Parameters
     ----------

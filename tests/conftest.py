@@ -3,8 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import prolate as P
+
+# Property tests draw the same examples on every run and keep no example
+# database, so a pass or a failure does not depend on an earlier run.
+settings.register_profile("reproducible", derandomize=True, database=None)
+settings.load_profile("reproducible")
 
 # One "[PASS]/[FAIL] criterion N: ..." line per acceptance criterion,
 # echoed after the run so the verdicts are visible without -s.

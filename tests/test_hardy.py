@@ -310,8 +310,8 @@ def test_beta_rejects_non_unit_function(gauss_grid):
 @pytest.mark.parametrize("concentration", [P.concentration_alpha, P.concentration_beta])
 @pytest.mark.parametrize("scale", [1e300, 1e-170])
 def test_concentration_refuses_unrepresentable_norms(gauss_grid, concentration, scale):
-    # The squares of 1e300 e^{-x^2} overflow to a norm of inf, those of 1e-170 e^{-x^2}
-    # underflow to a norm of 0: both are refused as non-unit, with no numpy warning.
+    # 1e300 e^{-x^2} and 1e-170 e^{-x^2} have finite norms far from 1: both are
+    # refused as non-unit, with no numpy warning.
     f = P.GridFunction.from_callable(gauss_grid, lambda x: scale * np.exp(-(x**2)))
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -276,6 +276,15 @@ def test_band_matvec_applies_to_columns(ops600):
             band.matvec(np.zeros(shape))
 
 
+@pytest.mark.parametrize("L,n,omega", [(30.0, 600, 3.0), (120.0, 2400, 3.0), (12.5, 601, 2.0)])
+def test_band_matvec_commutes_with_the_mirror(L, n, omega):
+    # The Ritz step folds S by parity, which needs S J = J S for J: x -> -x;
+    # on uniform (600, 2400) and mixed odd (601) panel orders.
+    band = P.build_band_operator(P.build_line_grid(L, n), omega)
+    u = np.random.default_rng(n).standard_normal((n, 64))
+    assert np.abs(band.matvec(u[::-1]) - band.matvec(u)[::-1]).max() <= 4e-15 * np.abs(u).max()
+
+
 def test_band_operator_needs_panel_layout():
     grid = P.build_line_grid(2.0, 7)
     band = P.build_band_operator(grid, 1.0)
@@ -320,10 +329,31 @@ def test_grid_function_guards(gauss_grid):
         zero.normalized()
 
 
-@pytest.mark.parametrize("sample", [1e300, np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("scale", [1e300, 1e-170])
+def test_grid_function_normalizes_extreme_scales(gauss_grid, scale):
+    # The squares of 1e300 e^{-x^2} overflow and those of 1e-170 e^{-x^2} underflow,
+    # but the norm scales the samples by a power of two first, which is exact.
+    unit = P.GridFunction.from_callable(gauss_grid, lambda x: np.exp(-(x**2)))
+    f = P.GridFunction(grid=gauss_grid, values=scale * unit.values)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert f.norm() == pytest.approx(scale * unit.norm(), rel=1e-15)
+        assert abs(f.normalized().norm() - 1.0) <= 1e-15
+
+
+def test_grid_function_normalized_refuses_a_subnormal_norm(gauss_grid):
+    # Division by a norm of about 1e-312 would overflow and leave infinite values.
+    f = P.GridFunction.from_callable(gauss_grid, lambda x: 1e-312 * np.exp(-(x**2)))
+    assert 0.0 < f.norm() < np.finfo(float).tiny
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="cannot normalize"):
+            f.normalized()
+
+
+@pytest.mark.parametrize("sample", [np.nan, np.inf, -np.inf])
 def test_grid_function_normalized_refuses_unrepresentable_norms(gauss_grid, sample):
-    # 1e300 squared overflows, so the norm is inf and the quotient would be the
-    # zero function; a NaN or infinite sample would make every value NaN.
+    # A NaN or infinite sample would make every value NaN.
     values = np.exp(-(gauss_grid.points**2))
     values[gauss_grid.size // 2] = sample
     f = P.GridFunction(grid=gauss_grid, values=values)
@@ -558,6 +588,30 @@ def test_sum_spectrum_ritz_values_match_full_solve(L, omega, tau_fraction, extra
     assert report.ritz_bound <= 1e-12
 
 
+def unfolded(even, odd, n):
+    """The n x k basis that the half-row blocks of ``_ritz_basis`` stand for: even columns, then odd.
+
+    Half row r is grid row n // 2 + r; a half column holds v / sqrt(2) there and +/- that
+    on the mirror row, or v itself on an odd grid's centre row.
+    """
+    right = np.arange(n // 2, n)
+    scale = np.where(right == n - 1 - right, 1.0, math.sqrt(0.5))[:, None]
+    q = np.zeros((n, even.shape[1] + odd.shape[1]))
+    e, o = np.split(q, [even.shape[1]], axis=1)
+    e[right] = e[n - 1 - right] = scale * even
+    o[n - 1 - right] = -scale * odd
+    o[right] = scale * odd  # last, so an odd grid's centre row keeps odd[0], which must be 0
+    return q
+
+
+def unit_count(ops):
+    """w': the window rows, their mirror rows and an odd grid's centre row."""
+    n = ops.grid.size
+    unit = (ops.chi != 0) | (ops.chi[::-1] != 0)
+    unit[n // 2] |= n % 2 == 1
+    return int(unit.sum())
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     L=st.floats(0.5, 40.0),
@@ -572,9 +626,10 @@ def test_ritz_column_bound_covers_the_basis(L, n, tau_fraction, omega_fraction):
     ops = P.build_limiting_operators(grid, tau=tau, omega=omega)
     bound = P.operators._ritz_column_bound(L, n, tau, omega)
     m = P.operators._ritz_frequency_count(L, omega)
-    q, rows = P.operators._ritz_basis(ops)
-    columns = q.shape[1]
-    assert columns == rows.size + 2 * min(m, (n - rows.size) // 2)
+    even, odd, _ = P.operators._ritz_basis(ops)
+    columns = even.shape[1] + odd.shape[1]
+    w = unit_count(ops)
+    assert columns == w + 2 * min(m, (n - w) // 2)
     assert bound >= columns
 
 
@@ -588,12 +643,12 @@ def test_ritz_column_bound_admits_a_large_grid():
 
 
 def test_ritz_step_refuses_a_basis_missing_frequencies(ops600):
-    q, rows = P.operators._ritz_basis(ops600)
-    # The unit block and every other even and odd column: still orthonormal,
-    # but about half of range S is missing.
-    keep = np.r_[0 : rows.size, rows.size : q.shape[1] : 2]
+    even, odd, rows = P.operators._ritz_basis(ops600)
+    # The unit block and every other band column of each parity: still
+    # orthonormal, but about half of range S is missing.
+    keep = np.r_[0 : rows.size, rows.size : even.shape[1] : 2]
     with pytest.raises(NumericalFailure, match="Weyl bound"):
-        P.operators._ritz_eigenvalues(ops600, q[:, keep], rows)
+        P.operators._ritz_eigenvalues(ops600, even[:, keep], odd[:, keep], rows)
 
 
 @pytest.mark.parametrize(
@@ -603,7 +658,7 @@ def test_ritz_step_refuses_a_basis_missing_frequencies(ops600):
         (20.0, 1000, 10.0, 15.0),
         # No window node: the band columns cover the whole grid.
         (30.0, 600, 0.01, 3.0),
-        # Every node in the window: the band block has no rows and no columns.
+        # Every node in the window: the band blocks have no rows and no columns.
         (30.0, 600, 29.99, 3.0),
         # Mirror nodes 142 and 157 get chi = 0 and 1: the unit block holds
         # w + 1 rows, one of them off the window.
@@ -612,24 +667,45 @@ def test_ritz_step_refuses_a_basis_missing_frequencies(ops600):
 )
 def test_ritz_basis_layout(L, n, tau, omega):
     ops = P.build_limiting_operators(P.build_line_grid(L, n), tau=tau, omega=omega)
-    q, rows = P.operators._ritz_basis(ops)
+    even, odd, rows = P.operators._ritz_basis(ops)
     window = np.flatnonzero(ops.chi)
     mirrored = np.flatnonzero((ops.chi == 0) & (ops.chi[::-1] != 0))
     assert mirrored.size == (1 if n == 300 else 0)
-    assert np.array_equal(rows, np.union1d(window, mirrored))
-    unit = np.zeros((n, rows.size))
+    right = n // 2 + rows
+    assert np.array_equal(np.union1d(right, n - 1 - right), np.union1d(window, mirrored))
+    unit = np.zeros((n - n // 2, rows.size))
     unit[rows, np.arange(rows.size)] = 1.0
-    assert np.array_equal(q[:, : rows.size], unit)
-    band = q[:, rows.size :]
-    assert not band[rows].any()
-    even, odd = np.split(band, 2, axis=1)
-    assert np.array_equal(even[::-1], even)
-    assert np.array_equal(odd[::-1], -odd)
+    assert np.array_equal(even[:, : rows.size], unit)
+    assert np.array_equal(odd[:, : rows.size - n % 2], unit[:, n % 2 :])  # no odd centre column
+    assert not even[rows, rows.size :].any()
+    assert not odd[rows, rows.size - n % 2 :].any()
+    q = unfolded(even, odd, n)
     assert np.abs(q.T @ q - np.eye(q.shape[1])).max() <= 1e-14
-    evals, bound = P.operators._ritz_eigenvalues(ops, q, rows)
+    evals, bound = P.operators._ritz_eigenvalues(ops, even, odd, rows)
     full = np.linalg.eigvalsh(dense_T(ops))[::-1]
     assert np.abs(evals - full).max() <= 1e-13
     assert bound <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "L,n,tau,omega",
+    [
+        (30.0, 600, 1.0, 3.0),
+        # chi is not mirror-symmetric at nodes 142 and 157.
+        (20.0, 300, 1.0, 3.0),
+        # An odd grid of mixed panel orders: the centre row is even only.
+        (12.5, 601, 1.0, 2.0),
+    ],
+)
+def test_folded_band_matches_matvec_of_the_unfolded_basis(L, n, tau, omega):
+    ops = P.build_limiting_operators(P.build_line_grid(L, n), tau=tau, omega=omega)
+    even, odd, _ = P.operators._ritz_basis(ops)
+    assert odd.shape[1] == even.shape[1] - n % 2
+    assert not odd[: n % 2].any()
+    s_even, s_odd = P.operators._folded_band(ops.band, even, odd)
+    assert not s_odd[: n % 2].any()
+    expected = ops.band.matvec(unfolded(even, odd, n))
+    assert np.abs(unfolded(s_even, s_odd, n) - expected).max() <= 1e-14
 
 
 def test_ritz_basis_refuses_budget_before_allocating():
@@ -659,6 +735,20 @@ def test_sum_spectrum_orthonormalises_half_width_blocks(monkeypatch):
     m = P.operators._ritz_frequency_count(L, omega)
     assert len(shapes) == 2
     assert all(rows <= -(-n // 2) and cols <= m for rows, cols in shapes)
+
+
+def test_sum_spectrum_applies_band_once_per_column_pair(monkeypatch):
+    # S maps each parity to itself, so one FFT of an even plus an odd column
+    # gives both: about k / 2 columns, not the k of the unfolded basis.
+    L, n, tau, omega = 60.0, 1200, 1.0, 3.0
+    ops = P.build_limiting_operators(P.build_line_grid(L, n), tau=tau, omega=omega)
+    spec = P.prolate_spectrum(ops.c, 6)
+    even, odd, _ = P.operators._ritz_basis(ops)
+    k = even.shape[1] + odd.shape[1]
+    columns, matvec = [], P.BandLimiter.matvec
+    monkeypatch.setattr(P.BandLimiter, "matvec", lambda self, u: columns.append(u[0].size) or matvec(self, u))
+    P.sum_operator_spectrum(ops, 6, spec)
+    assert 0 < sum(columns) <= -(-k // 2) + 1
 
 
 def test_sum_spectrum_peak_memory_below_one_dense_T():
