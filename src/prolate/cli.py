@@ -11,8 +11,8 @@ Four subcommands cover the verification campaigns:
 Each command writes CSV (default) or JSON to stdout or ``--out``, with
 floats at 17 significant digits so identical flags give byte-identical
 output.  A human-readable summary goes to stderr.  Exit codes: 0 on
-success, 2 for invalid or out-of-range arguments, 3 for numerical
-failures.
+success, 2 for invalid or out-of-range arguments or an unwritable
+``--out``, 3 for numerical failures.
 
 Running a subcommand with no flags reproduces its default verification
 scenario.
@@ -243,8 +243,12 @@ def main(argv=None) -> int:
         print(f"error: argument out of range: {exc}", file=sys.stderr)
         return 2
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(content)
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(content)
+        except OSError as exc:
+            print(f"error: cannot write --out {args.out}: {exc.strerror or exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(content)
     print(summary, file=sys.stderr)

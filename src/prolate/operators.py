@@ -27,11 +27,15 @@ range S: the window nodes and the band-limited functions e^{i xi x},
 |xi| < omega.  ``sum_operator_spectrum`` takes the eigenvalues of T by
 Rayleigh-Ritz on k orthonormal columns q spanning that subspace to
 roundoff: the unit vectors at the window nodes and their mirror nodes,
-then about omega L + 40 band-limited columns.  Each column is even or odd
-under x -> -x and S commutes with the mirror, so q and S q are held on the
-right-hand half of the rows, one block per parity, and one FFT applies S
-to an even and an odd column at once.  The work is about n k^2 / 4 with
-no n x n array, and a Weyl bound certifies the eigenvalues.
+then a cos and a sin column at each of M = ceil(omega L / pi +
+4 ln(1 + omega L)) + 4 Gauss nodes conformally mapped onto (0, omega):
+k = 122, 186 and 306 at L = 30, 60 and 120 (tau = 1, omega = 3,
+n = 20 L), with Weyl bounds 1.1e-14, 3.8e-14 and 1.3e-13.  Each column
+is even or odd under x -> -x and S commutes with the mirror, so q and
+S q are held on the right-hand half of the rows, one block per parity,
+and one FFT applies S to an even and an odd column at once.  The work is
+about n k^2 / 4 with no n x n array, and a Weyl bound certifies the
+eigenvalues.
 """
 
 from __future__ import annotations
@@ -69,10 +73,6 @@ __all__ = [
 
 # Target number of Gauss-Legendre nodes per grid panel.
 PANEL_ORDER = 5
-
-# Gauss nodes of (0, omega) for the Ritz basis beyond omega L / 2: enough for
-# its columns to span range S to roundoff, as the Weyl bound certifies.
-RITZ_EXTRA_NODES = 20
 
 # Largest accepted Weyl bound on the distance of the eigenvalues of T from
 # the padded Ritz values.
@@ -483,11 +483,32 @@ def _greedy_match(predicted_desc: np.ndarray, pool: np.ndarray) -> tuple[np.ndar
 
 
 def _ritz_frequency_count(half_width: float, omega: float) -> int:
-    """Number M of Gauss nodes of (0, omega) in the Ritz basis on (-half_width, half_width)."""
-    half_band = omega * half_width / 2
-    if not math.isfinite(half_band):
-        raise ValueError(f"omega * L / 2 overflows a float at omega={omega:g}, L={half_width:g}")
-    return math.ceil(half_band) + RITZ_EXTRA_NODES
+    """Number M of frequencies in the Ritz basis on (-half_width, half_width).
+
+    M = ceil(omega L / pi + 4 ln(1 + omega L)) + 4.  Range S on (-L, L) has about
+    omega L / pi + O(log omega L) eigenvalues of each parity above roundoff (Landau and
+    Widom, J. Math. Anal. Appl. 77, 1980), and ``_ritz_frequencies`` samples (0, omega)
+    nearly uniformly, so M stays that close to it; the Weyl bound certifies the count.
+    """
+    band = omega * half_width
+    if not math.isfinite(band):
+        raise ValueError(f"omega * L overflows a float at omega={omega:g}, L={half_width:g}")
+    return math.ceil(band / math.pi + 4 * math.log1p(band)) + 4
+
+
+def _ritz_frequencies(omega: float, m: int) -> np.ndarray:
+    """The m Gauss-Legendre nodes s_j of (-1, 1) mapped onto (0, omega) by Kosloff-Tal-Ezer.
+
+    xi_j = (omega / 2) (1 + arcsin(alpha s_j) / arcsin(alpha)) with alpha = sech(ln(1e-16) / m).
+    Gauss nodes crowd the ends of the interval, so they sample a band-limited integrand
+    about pi / 2 times more densely than it needs; the map spreads them nearly evenly.
+    Its branch points +/- 1 / alpha lie on the Bernstein ellipse where the m-point rule
+    converges like 1e-16, so the map costs the rule no accuracy above that (Hale and
+    Trefethen, SIAM J. Numer. Anal. 46, 2008).  The xi_j increase strictly inside
+    (0, omega) and mirror about omega / 2.
+    """
+    alpha = 1.0 / math.cosh(math.log(1e-16) / m)
+    return 0.5 * omega * (1.0 + np.arcsin(alpha * gauss_legendre_rule(m).nodes) / math.asin(alpha))
 
 
 def _ritz_column_bound(half_width: float, n: int, tau: float, omega: float) -> int:
@@ -508,9 +529,8 @@ def _ritz_basis(ops: LimitingOperators) -> tuple[np.ndarray, np.ndarray, np.ndar
     """Orthonormal half-row blocks, one per parity, spanning range chi + range S to roundoff.
 
     S has the kernel (1/pi) integral_0^omega cos(xi (x - y)) d xi.  Its range is spanned
-    to roundoff by sqrt(w) cos(xi_j x) and sqrt(w) sin(xi_j x) at M Gauss nodes xi_j of
-    (0, omega), as ``_ritz_eigenvalues`` certifies after the fact, although the rule does
-    not integrate the kernel to roundoff for every |x - y| <= 2L at large L.
+    to roundoff by sqrt(w) cos(xi_j x) and sqrt(w) sin(xi_j x) at the M mapped Gauss
+    nodes xi_j of ``_ritz_frequencies``, as ``_ritz_eigenvalues`` certifies after the fact.
 
     Row i mirrors row n - 1 - i, as on every ``LineGrid``, so a vector even or odd under
     x -> -x is fixed by its half rows n // 2, ..., n - 1.  A half column v stands for the
@@ -536,8 +556,7 @@ def _ritz_basis(ops: LimitingOperators) -> tuple[np.ndarray, np.ndarray, np.ndar
     other = np.flatnonzero(~unit[half:])
     pairs = min(m, other.size)
     _require_dense_budget(n, "Ritz basis of chi + S", cols=2 * rows.size - n % 2 + 2 * pairs)
-    xi = 0.5 * ops.omega * (1.0 + gauss_legendre_rule(m).nodes)
-    phase = np.multiply.outer(grid.points[half + other], xi)
+    phase = np.multiply.outer(grid.points[half + other], _ritz_frequencies(ops.omega, m))
     sqrt_w = np.sqrt(grid.weights[half + other])[:, None]
     blocks = []
     for f, units in ((np.cos, rows), (np.sin, rows[n % 2 :])):
@@ -646,14 +665,18 @@ def sum_operator_spectrum(
     range S, which k orthonormal columns q span to roundoff: the unit
     vectors at the window nodes and their mirror nodes (w' in all), then
     the QR factors of sqrt(w) cos(xi_j x) and of sqrt(w) sin(xi_j x) at
-    M = ceil(omega L / 2) + 20 Gauss nodes xi_j of (0, omega), an even and
-    an odd block (k = w' + 2 min(M, (n - w') / 2)).  Both blocks are held
-    on the right-hand half of the rows; see ``_ritz_basis``.  The
-    eigenvalues of q^T T q, padded with n - k zeros, are all n eigenvalues
-    of T to within the Weyl bound ``ritz_bound``, about 1e-13 on the line
-    grids.  S is applied by FFT to about k / 2 columns, each an even plus
-    an odd one, and q^T S q and the residual are formed per parity on half
-    the rows, so no n x n array is formed and the work is about n k^2 / 4.
+    M = ceil(omega L / pi + 4 ln(1 + omega L)) + 4 frequencies xi_j, the
+    Gauss-Legendre nodes mapped onto (0, omega) by the Kosloff-Tal-Ezer
+    map of ``_ritz_frequencies``, an even and an odd block
+    (k = w' + 2 min(M, (n - w') / 2)).  Both blocks are held on the
+    right-hand half of the rows; see ``_ritz_basis``.  The eigenvalues of
+    q^T T q, padded with n - k zeros, are all n eigenvalues of T to within
+    the Weyl bound ``ritz_bound``: at tau = 1, omega = 3 and n = 20 L,
+    k = 122, 186 and 306 with bounds 1.1e-14, 3.8e-14 and 1.3e-13 at
+    L = 30, 60 and 120.  S is applied by FFT to about k / 2 columns, each
+    an even plus an odd one, and q^T S q and the residual are formed per
+    parity on half the rows, so no n x n array is formed and the work is
+    about n k^2 / 4.
 
     Parameters
     ----------

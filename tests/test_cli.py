@@ -65,6 +65,16 @@ def test_out_file_matches_stdout(tmp_path, capsys):
     assert path.read_text(encoding="utf-8") == out
 
 
+@pytest.mark.parametrize("target", ["missing/table.csv", "."], ids=["missing-directory", "directory"])
+def test_unwritable_out_exits_2_without_traceback(target, tmp_path, capsys):
+    path = tmp_path / target
+    code, out, err = run_cli(["spectrum", "--out", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.startswith(f"error: cannot write --out {path}: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("args", ALL_DEFAULT_INVOCATIONS, ids=lambda a: a[0])
 def test_byte_identical_reruns(args, tmp_path, capsys):
     first, second = tmp_path / "first.csv", tmp_path / "second.csv"

@@ -555,7 +555,7 @@ def test_sum_spectrum_keeps_no_dense_matrix():
         # Mirror nodes 142 and 157 lie within roundoff of -1 and 1 and get
         # chi = 0 and 1, so T does not commute with the reflection.
         (20.0, 300, 1.0, 3.0),
-        # c = 150: half the nodes lie in the window, so k = 500 + 2M = 840.
+        # c = 150: half the nodes lie in the window, so k = 500 + 2M = 746.
         (20.0, 1000, 10.0, 15.0),
     ],
 )
@@ -634,7 +634,7 @@ def test_ritz_column_bound_covers_the_basis(L, n, tau_fraction, omega_fraction):
 
 
 def test_ritz_column_bound_admits_a_large_grid():
-    # At L = 30, n = 12000 the basis is 12000 x 530 (51 MB); the bound n + 2M
+    # At L = 30, n = 12000 the basis is 12000 x 502 (48 MB); the bound n + 2M
     # of the window-blind count would exceed the 1 GiB budget.
     L, n, tau, omega = 30.0, 12000, 1.0, 3.0
     bound = P.operators._ritz_column_bound(L, n, tau, omega)
@@ -649,6 +649,47 @@ def test_ritz_step_refuses_a_basis_missing_frequencies(ops600):
     keep = np.r_[0 : rows.size, rows.size : even.shape[1] : 2]
     with pytest.raises(NumericalFailure, match="Weyl bound"):
         P.operators._ritz_eigenvalues(ops600, even[:, keep], odd[:, keep], rows)
+
+
+@pytest.mark.parametrize("m", [1, 2, 51, 143, 260])
+def test_ritz_frequencies_increase_inside_the_band_and_mirror(m):
+    omega = 3.0
+    xi = P.operators._ritz_frequencies(omega, m)
+    assert xi.shape == (m,)
+    assert 0.0 < xi[0] and xi[-1] < omega
+    assert np.all(np.diff(xi) > 0)
+    assert np.abs(xi + xi[::-1] - omega).max() <= 1e-15 * omega
+
+
+def test_ritz_basis_is_near_the_landau_widom_count():
+    # Range S holds about omega L / pi columns per parity: the mapped rule
+    # takes M = 143 and k = 306 at L = 120, where plain Gauss nodes took
+    # M = 200 and k = 420.
+    ops = P.build_limiting_operators(P.build_line_grid(120.0, 2400), tau=1.0, omega=3.0)
+    even, odd, rows = P.operators._ritz_basis(ops)
+    assert even.shape[1] + odd.shape[1] <= 310
+    _, bound = P.operators._ritz_eigenvalues(ops, even, odd, rows)
+    assert bound <= 1e-12
+
+
+def test_ritz_bound_holds_past_the_property_test_range():
+    # omega L = 720, six times the largest the hypothesis tests reach.
+    ops = P.build_limiting_operators(P.build_line_grid(240.0, 4800), tau=1.0, omega=3.0)
+    _, bound = P.operators._ritz_eigenvalues(ops, *P.operators._ritz_basis(ops))
+    assert bound <= 1e-12
+
+
+def test_ritz_step_refuses_too_few_mapped_frequencies(monkeypatch):
+    # At L = 120 the rule gives 143; the smallest count with a Weyl bound
+    # below 1e-12 is 138, and below the refusal threshold 136, so 12 fewer
+    # must leave part of range S uncovered.
+    L, omega = 120.0, 3.0
+    ops = P.build_limiting_operators(P.build_line_grid(L, 2400), tau=1.0, omega=omega)
+    m = P.operators._ritz_frequency_count(L, omega)
+    assert m == 143
+    monkeypatch.setattr(P.operators, "_ritz_frequency_count", lambda half_width, omega: m - 12)
+    with pytest.raises(NumericalFailure, match="Weyl bound"):
+        P.sum_operator_spectrum(ops, 6, P.prolate_spectrum(ops.c, 6))
 
 
 @pytest.mark.parametrize(
