@@ -424,8 +424,8 @@ def test_gauss_rule_refuses_budget_before_allocating(call):
 def test_extension_kernel_evaluated_once_per_spectrum_and_points(monkeypatch):
     spec = P.prolate_spectrum(3.0, 6, order=120)
     calls = []
-    kernel = P.core.sinc_kernel
-    monkeypatch.setattr(P.core, "sinc_kernel", lambda *args: calls.append(1) or kernel(*args))
+    product = P.core._sinc_product
+    monkeypatch.setattr(P.core, "_sinc_product", lambda *args: calls.append(1) or product(*args))
     xs = np.linspace(-3.0, 3.0, 50)
     for n in range(spec.n_modes):
         P.pswf_extend(spec, n, xs)
@@ -457,6 +457,42 @@ def test_extension_columns_equal_direct_kernel_product():
         assert np.array_equal(again, cached)
         again[0] += 1.0  # the caller owns what it gets back
         assert np.array_equal(P.pswf_extend(spec, n, xs), cached)
+
+
+@pytest.mark.parametrize("c, n_modes", [(0.5, 8), (3.0, 12), (13.9, 24), (40.0, 44), (100.0, 85)])
+def test_extension_matches_direct_kernel_near_nodes(c, n_modes):
+    # Every mode the spectrum resolves, at points on, next to and between the
+    # nodes, so that |c (x - y)| falls on both sides of the rank-two form's
+    # near-pair threshold, and at points off (-1, 1).
+    spec = P.prolate_spectrum(c, n_modes)
+    nodes = spec.rule.nodes
+    offsets = (0.0, 1e-12, -1e-12, -1e-9, 3e-7, -1e-5, 2e-4)
+    xs = np.concatenate([nodes + dx for dx in offsets] + [nodes * (1.0 + 1e-7), np.linspace(-8.0, 8.0, 801)])
+    kern = P.sinc_kernel(c, xs[:, None], nodes[None, :])
+    for n in range(n_modes):
+        terms = spec.rule.weights * spec.modes[n]
+        direct = kern @ terms / spec.eigenvalues[n]
+        scale = (np.abs(kern) @ np.abs(terms)).max() / spec.eigenvalues[n]
+        assert np.abs(P.pswf_extend(spec, n, xs) - direct).max() <= 1e-14 * scale
+
+
+@pytest.mark.parametrize(
+    "x",
+    [
+        pytest.param(math.inf, id="inf"),
+        pytest.param(-math.inf, id="minus-inf"),
+        pytest.param(math.nan, id="nan"),
+        pytest.param(np.array([0.0, 2.0, math.inf]), id="inf-in-array"),
+        pytest.param(np.array([math.nan, 0.5]), id="nan-in-array"),
+        pytest.param(np.array([0.5, 1e308]), id="c-x-overflows"),
+    ],
+)
+def test_extension_refuses_non_finite_points(spec3, monkeypatch, x):
+    calls = []
+    monkeypatch.setattr(P.core, "_sinc_product", lambda *args: calls.append(1))
+    with pytest.raises(ValueError, match="finite"):
+        P.pswf_extend(spec3, 0, x)
+    assert not calls
 
 
 def test_spectrum_arrays_are_read_only(spec3):
