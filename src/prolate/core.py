@@ -89,21 +89,21 @@ class ProlateSpectrum:
         Values in (0, 1) in mode order: mode n is the (n // 2)-th eigenvalue
         of the even (n even) or odd (n odd) part of the operator.  They
         descend strictly except where 1 - lambda is roundoff (c above about 22).
-    modes : ndarray
-        Row n holds samples of the n-th eigenfunction at ``rule.nodes``,
-        exactly of parity (-1)^n under node reversal, orthonormal in the
-        rule's weighted inner product, and signed so the first sample
-        larger than 1e-8 in magnitude is positive.
+    coefficients : ndarray, shape (terms, n_modes)
+        Column n holds the coefficients of P_0, ..., P_{terms-1} in one of
+        the two unit-norm eigenfunctions +/- psi_n; the coefficients of the
+        other parity are 0.  ``modes`` fixes the sign.
     rule : QuadratureRule
         The rule whose nodes carry ``modes``.
 
-    ``eigenvalues`` and ``modes`` are read-only: ``pswf_extend`` keeps
-    extensions computed from them on the spectrum.
+    ``eigenvalues``, ``coefficients`` and ``modes`` are read-only:
+    ``modes`` is computed from the coefficients on first read, and
+    ``pswf_extend`` keeps extensions computed from them on the spectrum.
     """
 
     c: float
     eigenvalues: np.ndarray
-    modes: np.ndarray
+    coefficients: np.ndarray
     rule: QuadratureRule
     # ((shape, bytes) of the last points pswf_extend saw, every mode's extension there)
     _extension: tuple | None = field(default=None, init=False, repr=False)
@@ -111,6 +111,28 @@ class ProlateSpectrum:
     @property
     def n_modes(self) -> int:
         return len(self.eigenvalues)
+
+    @functools.cached_property
+    def modes(self) -> np.ndarray:
+        """Samples of the eigenfunctions at ``rule.nodes``, one row per mode, computed on first read.
+
+        Row n is exactly of parity (-1)^n under node reversal, orthonormal in
+        the rule's weighted inner product, and signed so the first sample
+        larger than 1e-8 in magnitude is positive.
+        """
+        half = self.rule.order // 2  # nodes[half:] are >= 0; nodes[:half] are their mirror images
+        legendre = _legendre_table(self.rule.nodes[half:], len(self.coefficients))
+        psi = np.empty((self.n_modes, legendre.shape[1]))
+        for parity in range(min(self.n_modes, 2)):  # the other parity's coefficients are 0
+            psi[parity::2] = (legendre[parity::2].T @ self.coefficients[parity::2, parity::2]).T
+        # nodes[:half] mirror nodes[-1], nodes[-2], ..., held in the last columns of psi.
+        mirror = (-1.0) ** np.arange(self.n_modes)[:, None]
+        modes = np.hstack([mirror * psi[:, ::-1][:, :half], psi])
+        # Deterministic sign: first sample larger than 1e-8 in magnitude positive.
+        first = modes[np.arange(self.n_modes), np.argmax(np.abs(modes) > 1e-8, axis=1)]
+        modes *= np.where(first < 0, -1.0, 1.0)[:, None]
+        modes.flags.writeable = False
+        return modes
 
 
 @functools.cache
@@ -240,6 +262,9 @@ def prolate_spectrum(c: float, n_modes: int, order: int | None = None) -> Prolat
     well-separated eigenvalues at every c.  Evaluating F_c psi_n = i^n mu_n
     psi_n, F_c f(x) = integral e^{icxt} f(t) dt, at x = 0 (or its derivative,
     n odd) gives mu_n, and lambda_n = c mu_n^2 / (2 pi) does not depend on ``order``.
+    That needs only P_k(0), so the spectrum holds the eigenvalues and the
+    Legendre coefficients; the samples at the rule's nodes (``modes``) are
+    computed on their first read.
 
     Parameters
     ----------
@@ -260,7 +285,8 @@ def prolate_spectrum(c: float, n_modes: int, order: int | None = None) -> Prolat
     ------
     ValueError
         Bad arguments (c not positive and finite, or an order below
-        ``min_quadrature_order(c)``), a Legendre table over DENSE_BUDGET_BYTES,
+        ``min_quadrature_order(c)``), a Legendre table for ``modes`` over
+        DENSE_BUDGET_BYTES (refused here, before anything is built),
         or a requested mode whose leading coefficient beta_0 (even) or beta_1
         (odd) is at or below COEFFICIENT_FLOOR, where lambda is not resolved.
     NumericalFailure
@@ -282,26 +308,25 @@ def prolate_spectrum(c: float, n_modes: int, order: int | None = None) -> Prolat
             f"need at least ceil(c)+30 = {min_order}"
         )
     terms = math.ceil(c) + n_modes + 30
-    half = order // 2  # nodes[half:] are >= 0; nodes[:half] are their mirror images
-    _require_dense_budget(terms, "Legendre table", cols=order - half + 1)
+    _require_dense_budget(terms, "Legendre table", cols=order - order // 2)
 
     rule = gauss_legendre_rule(order)
-    # P_k (row k) at the non-negative nodes and, in the last column, at 0.
-    legendre = _legendre_table(np.append(rule.nodes[half:], 0.0), terms)
-    vals, lead, modes = np.empty(n_modes), np.empty(n_modes), np.empty((n_modes, order))
+    # P_k(0) by P_{k+1}(0) = -k/(k+1) P_{k-1}(0); zero at odd k.
+    at_zero = np.zeros(terms)
+    at_zero[0] = 1.0
+    at_zero[2::2] = np.cumprod(-np.arange(1, terms - 1, 2) / np.arange(2, terms, 2))
+    vals, lead, coefficients = np.empty(n_modes), np.empty(n_modes), np.zeros((terms, n_modes))
     for parity in range(min(n_modes, 2)):
         k = np.arange(parity, terms, 2)
         _, beta = _symmetric_eigdesc(-_bouwkamp_block(c, k))  # chi ascending
         beta = beta[:, : (n_modes + 1 - parity) // 2]
         coef = np.sqrt(k + 0.5)[:, None] * beta  # coefficients of P_k
-        psi = legendre[parity::2].T @ coef
         if parity:  # psi'(0) from P_k'(0) = k P_{k-1}(0)
-            mu = c * math.sqrt(2.0 / 3.0) * beta[0] / ((k * legendre[k - 1, -1]) @ coef)
+            mu = c * math.sqrt(2.0 / 3.0) * beta[0] / ((k * at_zero[k - 1]) @ coef)
         else:
-            mu = math.sqrt(2.0) * beta[0] / psi[-1]
+            mu = math.sqrt(2.0) * beta[0] / (at_zero[k] @ coef)
         vals[parity::2], lead[parity::2] = c * mu * mu / (2.0 * np.pi), beta[0]
-        # nodes[:half] mirror nodes[-1], nodes[-2], ..., held in rows -2, -3, ... of psi.
-        modes[parity::2] = np.vstack([(-1) ** parity * psi[-2 : -2 - half : -1], psi[:-1]]).T
+        coefficients[parity::2, parity::2] = coef
 
     weak = np.flatnonzero(np.abs(lead) <= COEFFICIENT_FLOOR)
     if weak.size:
@@ -314,14 +339,9 @@ def prolate_spectrum(c: float, n_modes: int, order: int | None = None) -> Prolat
             f"eigenvalue {vals.max():.17g} exceeds 1 + {GAP_FLOOR:.3g} at c={c:g} "
             f"with {terms} Legendre terms: the operator's norm is below 1"
         )
-
-    # Deterministic sign: first sample larger than 1e-8 in magnitude positive.
-    first = modes[np.arange(n_modes), np.argmax(np.abs(modes) > 1e-8, axis=1)]
-    modes *= np.where(first < 0, -1.0, 1.0)[:, None]
     vals.flags.writeable = False
-    modes.flags.writeable = False
-
-    return ProlateSpectrum(c=c, eigenvalues=vals, modes=modes, rule=rule)
+    coefficients.flags.writeable = False
+    return ProlateSpectrum(c=c, eigenvalues=vals, coefficients=coefficients, rule=rule)
 
 
 def lambda0_asymptotic(c: float) -> float:

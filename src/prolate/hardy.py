@@ -121,14 +121,16 @@ def quadratic_form(f: GridFunction, ops: LimitingOperators) -> QuadraticFormValu
     """Evaluate <(2I - chi - S) f, f> in the weighted inner product.
 
     Splits into ||(I - chi) f||^2 (time leakage) plus Re<(I - S) f, f>
-    (band leakage); both parts are reported for diagnostics.
+    (band leakage); both parts are reported for diagnostics.  The band
+    part reads Re<S f, f> from ``f.band_energy(ops.omega)``, so S is applied
+    to f once per bandwidth, shared with ``concentration_beta``.
     """
     if f.grid is not ops.grid and not np.array_equal(f.grid.points, ops.grid.points):
         raise ValueError("grid mismatch between function and operators")
     u = f.weighted()
     nrm2 = float(np.real(np.conj(u) @ u))
     time_part = nrm2 - float(np.real(np.conj(u) @ (ops.chi * u)))
-    band_part = nrm2 - float(np.real(np.conj(u) @ ops.band.matvec(u)))
+    band_part = nrm2 - f.band_energy(ops.omega)
     return QuadraticFormValue(
         value=time_part + band_part, time_part=time_part, band_part=band_part
     )

@@ -107,6 +107,11 @@ class LineGrid:
     panel, slot : ndarray of int
         Panel and slot of every node.
 
+    The grid keeps the band limiter S_omega of each bandwidth that
+    ``build_band_operator`` has built on it, so every operator and function
+    on one grid shares one S_omega; ``dataclasses.replace`` gives a grid
+    with none kept.
+
     Raises
     ------
     ValueError
@@ -120,6 +125,8 @@ class LineGrid:
     weights: np.ndarray = field(init=False)
     panel: np.ndarray = field(init=False, repr=False)
     slot: np.ndarray = field(init=False, repr=False)
+    # omega -> the BandLimiter S_omega on this grid, filled by build_band_operator
+    _bands: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         L, orders = self.half_width, self.panel_orders
@@ -159,13 +166,15 @@ class GridFunction:
     """Complex-valued samples of a function at the points of a LineGrid.
 
     Frozen: ``values`` is a read-only complex copy of the samples given,
-    so the caller's array stays its own.  ``band_energy`` keeps one
-    energy per bandwidth on the function; ``dataclasses.replace`` gives a
-    function with none kept.
+    so the caller's array stays its own.  ``norm`` keeps the norm and
+    ``band_energy`` one energy per bandwidth on the function;
+    ``dataclasses.replace`` gives a function with none kept.
     """
 
     grid: LineGrid
     values: np.ndarray
+    # The L^2 norm, filled by norm
+    _norm: float | None = field(default=None, init=False, repr=False)
     # omega -> Re <S_omega u, u> for u = sqrt(w) f, filled by band_energy
     _band_energies: dict = field(default_factory=dict, init=False, repr=False)
 
@@ -187,17 +196,20 @@ class GridFunction:
         return np.sqrt(self.grid.weights) * self.values
 
     def norm(self) -> float:
-        """The L^2 norm on the grid; inf only where the norm itself overflows a float.
+        """The L^2 norm on the grid, computed once; inf only where the norm itself overflows a float.
 
         The samples are scaled by the power of two of max |f| before they are
         squared, which is exact, so no square overflows or underflows for
-        want of scale.
+        want of scale.  The samples are read-only, so later calls return the
+        kept value.
         """
-        modulus = np.abs(self.values)
-        exponent = math.frexp(float(modulus.max()))[1]
-        root = np.sqrt(np.sum(self.grid.weights * np.ldexp(modulus, -exponent) ** 2))
-        with np.errstate(over="ignore"):
-            return float(np.ldexp(root, exponent))
+        if self._norm is None:
+            modulus = np.abs(self.values)
+            exponent = math.frexp(float(modulus.max()))[1]
+            root = np.sqrt(np.sum(self.grid.weights * np.ldexp(modulus, -exponent) ** 2))
+            with np.errstate(over="ignore"):
+                object.__setattr__(self, "_norm", float(np.ldexp(root, exponent)))
+        return self._norm
 
     def normalized(self) -> "GridFunction":
         """The function divided by its norm.
@@ -219,8 +231,9 @@ class GridFunction:
     def band_energy(self, omega: float) -> float:
         """Band energy Re <S_omega u, u> of u = sqrt(w) f, computed once per omega.
 
-        S_omega is built on the function's grid and applied by FFT on the
-        first call at ``omega``; later calls return the kept value.
+        S_omega of the function's grid (``build_band_operator``, kept on the
+        grid) is applied by FFT on the first call at ``omega``; later calls
+        return the kept value.
 
         Raises
         ------
@@ -337,7 +350,7 @@ class BandLimiter:
         Real FFT, along the offset axis, of the blocks B_d for panel
         offsets d = 1-m, ..., m-1 (B_(-d) the exact transpose of B_d)
         embedded in a circulant of period 2m; applies S by circular
-        convolution.
+        convolution.  Read-only: the grid keeps the limiter and shares it.
     panel, slot : ndarray of int
         The grid's panel and slot of every node.
     """
@@ -368,7 +381,9 @@ def build_band_operator(grid: LineGrid, omega: float) -> BandLimiter:
     """The band limiter S_omega on ``grid``, from one kernel block per panel offset.
 
     Evaluates m * p^2 kernel values for m panels of at most p slots,
-    instead of the n^2 of a dense assembly.
+    instead of the n^2 of a dense assembly.  The first call at ``omega``
+    builds S_omega and keeps it on the grid; later calls return that
+    object, whose ``spectrum`` is read-only.
 
     Raises
     ------
@@ -376,7 +391,7 @@ def build_band_operator(grid: LineGrid, omega: float) -> BandLimiter:
         If omega <= 0, if the sampling adequacy condition
         max_spacing * omega < 1 fails (the kernel oscillation would be
         under-resolved), or if the 2m blocks of p x p kernel values
-        exceed the dense-matrix budget.
+        exceed the dense-matrix budget; on every call, kept S or not.
     """
     if not omega > 0:
         raise ValueError(f"omega must be positive, got {omega}")
@@ -390,6 +405,9 @@ def build_band_operator(grid: LineGrid, omega: float) -> BandLimiter:
     distinct = sorted(set(grid.panel_orders))
     p = sum(distinct)
     _require_dense_budget(2 * m * p, "kernel blocks of S", cols=p)
+    band = grid._bands.get(omega)
+    if band is not None:
+        return band
     rules = [gauss_legendre_rule(order) for order in distinct]
 
     half = grid.half_width / m
@@ -400,11 +418,10 @@ def build_band_operator(grid: LineGrid, omega: float) -> BandLimiter:
     ahead = np.outer(sq, sq) * sinc_kernel(omega, gap, 0.0)  # B_0, ..., B_(m-1)
     behind = ahead[:0:-1].transpose(0, 2, 1)  # B_(1-m), ..., B_(-1)
     circulant = np.concatenate([ahead, np.zeros((1, p, p)), behind])
-    return BandLimiter(
-        spectrum=np.fft.rfft(circulant, axis=0),
-        panel=grid.panel,
-        slot=grid.slot,
-    )
+    spectrum = np.fft.rfft(circulant, axis=0)
+    spectrum.flags.writeable = False
+    band = grid._bands[omega] = BandLimiter(spectrum=spectrum, panel=grid.panel, slot=grid.slot)
+    return band
 
 
 @dataclass(eq=False)
@@ -428,7 +445,10 @@ class LimitingOperators:
 
 
 def build_limiting_operators(grid: LineGrid, tau: float, omega: float) -> LimitingOperators:
-    """Set up chi, S and T = chi + S on ``grid``; no n x n matrix is formed."""
+    """Set up chi, S and T = chi + S on ``grid``; no n x n matrix is formed.
+
+    ``band`` is the S_omega kept on the grid, the one ``GridFunction.band_energy`` applies.
+    """
     chi = build_time_limiter(grid, tau)
     band = build_band_operator(grid, omega)
     return LimitingOperators(grid=grid, tau=tau, omega=omega, chi=chi, band=band)

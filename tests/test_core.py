@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import prolate as P
-from conftest import LAM0, LAM3, nystrom_matrix
+from conftest import LAM0, LAM3, nystrom_matrix, with_shifted_root
 
 # Sinc-kernel eigenvalues to 60 digits; the recipe is in
 # test_high_precision_reference_eigenvalues.
@@ -500,6 +500,37 @@ def test_spectrum_arrays_are_read_only(spec3):
         spec3.modes[0, 0] = 1.0
     with pytest.raises(ValueError):
         spec3.eigenvalues[0] = 0.5
+    with pytest.raises(ValueError):
+        spec3.coefficients[0, 0] = 1.0
+
+
+def test_modes_evaluated_on_first_read_only(monkeypatch):
+    # The eigenvalues need only P_k(0); the table at the nodes is built for .modes, once.
+    calls = []
+    table = P.core._legendre_table
+    monkeypatch.setattr(P.core, "_legendre_table", lambda *args: calls.append(1) or table(*args))
+    spec = P.prolate_spectrum(3.0, 6, order=120)
+    assert not calls
+    modes = spec.modes
+    assert len(calls) == 1
+    assert spec.modes is modes
+    P.pswf_extend(spec, 0, 0.5)
+    assert len(calls) == 1
+
+
+def test_modes_are_the_coefficient_expansion(spec3):
+    # Row n is sum_k a_kn P_k at the nodes, up to the sign modes fixes.
+    legendre = np.polynomial.legendre.legvander(spec3.rule.nodes, len(spec3.coefficients) - 1)
+    direct = (legendre @ spec3.coefficients).T
+    for n in range(spec3.n_modes):
+        sign = math.copysign(1.0, direct[n] @ spec3.modes[n])
+        assert np.abs(sign * direct[n] - spec3.modes[n]).max() < 1e-13
+
+
+def test_shifted_spectrum_keeps_modes(spec3):
+    shifted = with_shifted_root(spec3, 1e-3)
+    assert shifted.eigenvalues[0] != spec3.eigenvalues[0]
+    assert np.array_equal(shifted.modes, spec3.modes)
 
 
 def test_extension_retains_no_kernel():

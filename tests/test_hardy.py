@@ -280,6 +280,27 @@ def test_beta_matches_dense_quadratic_form(unit_gauss, masked_top_mode, Omega):
         assert P.concentration_beta(f, Omega) == pytest.approx(expected, abs=1e-13)
 
 
+def test_chain_assembles_one_band_limiter_per_bandwidth(gauss_grid, monkeypatch):
+    # A 5 x 5 Landau-Pollak grid over three functions and a quadratic form per
+    # omega, as in the Hardy chain, assemble the kernel of S once per distinct bandwidth.
+    assembled, kernel = [], P.operators.sinc_kernel
+    monkeypatch.setattr(P.operators, "sinc_kernel", lambda c, x, y: assembled.append(c) or kernel(c, x, y))
+    grid = dataclasses.replace(gauss_grid)  # the same layout, nothing kept
+    shapes = (lambda x: np.exp(-(x**2)), lambda x: x * np.exp(-(x**2)), lambda x: np.exp(-0.5 * (x - 1.0) ** 2))
+    fns = [P.GridFunction.from_callable(grid, shape).normalized() for shape in shapes]
+    bands, omegas = (1.0, 2.0, 3.0, 4.0, 5.0), (1.5, 2.0, 2.5)
+    for T in (1.0, 2.0, 3.0, 4.0, 5.0):
+        for Om in bands:
+            spec = P.prolate_spectrum(0.5 * T * Om, 1)
+            for f in fns:
+                P.landau_pollak_check(f, T, Om, spec)
+    for w in omegas:
+        ops = P.build_limiting_operators(grid, w, w)
+        for f in fns:
+            P.quadratic_form(f, ops)
+    assert sorted(assembled) == sorted(set(bands + omegas))
+
+
 def test_chains_allocate_no_dense_matrix():
     # The quadratic form and beta apply S by FFT: their peak allocation
     # stays far below one n x n matrix, which the dense S does reach.

@@ -410,6 +410,26 @@ def test_band_energy_refuses_bad_bandwidth_on_every_call(gauss_grid, band_builds
     assert band_builds == [omega, omega]
 
 
+def test_band_operator_kept_on_its_grid(gauss_grid):
+    grid = dataclasses.replace(gauss_grid)  # the same layout, nothing kept
+    band = P.build_band_operator(grid, 2.0)
+    assert P.build_band_operator(grid, 2.0) is band
+    assert P.build_limiting_operators(grid, 1.0, 2.0).band is band
+    assert P.build_band_operator(grid, 3.0) is not band
+    assert P.build_band_operator(dataclasses.replace(grid), 2.0) is not band
+    with pytest.raises(ValueError):
+        band.spectrum[0, 0, 0] = 0.0
+
+
+def test_norm_computed_once_per_function(gauss_grid):
+    f = P.GridFunction.from_callable(gauss_grid, lambda x: np.exp(-(x**2)))
+    norm = f.norm()
+    assert f.norm() is norm  # the kept float, not a recomputed one
+    copy = dataclasses.replace(f)  # a copy starts with nothing kept
+    assert copy.norm() == norm
+    assert copy.norm() is not norm
+
+
 def test_norm_identities_on_random_functions(ops600):
     # For the exact projections: ||chi u||^2 + ||(1-chi) u||^2 = ||u||^2,
     # 0 <= <S u, u> <= ||u||^2, and the idempotency defect bounds
