@@ -122,8 +122,8 @@ def quadratic_form(f: GridFunction, ops: LimitingOperators) -> QuadraticFormValu
 
     Splits into ||(I - chi) f||^2 (time leakage) plus Re<(I - S) f, f>
     (band leakage); both parts are reported for diagnostics.  The band
-    part reads Re<S f, f> from ``f.band_energy(ops.omega)``, so S is applied
-    to f once per bandwidth, shared with ``concentration_beta``.
+    part reads Re<S f, f> from ``f.band_energy(ops.omega)``, computed once
+    per bandwidth and shared with ``concentration_beta``.
     """
     if f.grid is not ops.grid and not np.array_equal(f.grid.points, ops.grid.points):
         raise ValueError("grid mismatch between function and operators")
@@ -197,7 +197,11 @@ def _require_unit_norm(f: GridFunction) -> None:
 
 
 def concentration_alpha(f: GridFunction, T_width: float) -> float:
-    """Time concentration alpha = (integral_{|t| < T/2} |f|^2)^(1/2) of a unit-norm f."""
+    """Time concentration alpha = (integral_{|t| < T/2} |f|^2)^(1/2) of a unit-norm f.
+
+    The mass is computed once per (f, T) by ``f.window_mass`` and kept on f;
+    the checks of T and of the norm run on every call.
+    """
     if not T_width > 0:
         raise ValueError(f"T_width must be positive, got {T_width}")
     if T_width / 2.0 >= f.grid.half_width:
@@ -205,9 +209,7 @@ def concentration_alpha(f: GridFunction, T_width: float) -> float:
             f"window T/2 = {T_width / 2} exceeds grid half-width {f.grid.half_width}"
         )
     _require_unit_norm(f)
-    inside = np.abs(f.grid.points) < T_width / 2.0
-    mass = float(np.sum(f.grid.weights[inside] * np.abs(f.values[inside]) ** 2))
-    return math.sqrt(mass)
+    return math.sqrt(f.window_mass(T_width / 2.0))
 
 
 def concentration_beta(f: GridFunction, Omega: float) -> float:
@@ -216,7 +218,7 @@ def concentration_beta(f: GridFunction, Omega: float) -> float:
     Uses the band-limiter quadratic form <S_Omega f, f> on the
     function's own grid, which equals the frequency-side integral by the
     projection identity; no second discretization of the transform is
-    introduced, and S is applied by FFT without forming its matrix.
+    introduced, and S enters only through the FFT of its kernel blocks.
     The form is computed once per (f, Omega) by ``f.band_energy`` and kept
     on f; the unit-norm check runs on every call.
     """

@@ -20,7 +20,9 @@ The grid's panels all have the same width, so an entry of S depends on
 its row and column panel only through their offset: S is block
 Toeplitz on the grid's slots.  ``BandLimiter`` stores the FFT of one
 kernel block per offset and applies S in O(n log n); no n x n matrix is
-formed.
+formed.  A band energy <S u, u> applies no S: by Parseval it is one
+inner product of that FFT with the panel Gram of u, which the function
+keeps (``GridFunction.band_energy``).
 
 Every eigenvector of T with a nonzero eigenvalue lies in range chi +
 range S: the window nodes and the band-limited functions e^{i xi x},
@@ -40,6 +42,7 @@ eigenvalues.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -109,8 +112,8 @@ class LineGrid:
 
     The grid keeps the band limiter S_omega of each bandwidth that
     ``build_band_operator`` has built on it, so every operator and function
-    on one grid shares one S_omega; ``dataclasses.replace`` gives a grid
-    with none kept.
+    on one grid shares one S_omega, and its ``max_spacing`` once read;
+    ``dataclasses.replace`` gives a grid with none kept.
 
     Raises
     ------
@@ -156,7 +159,7 @@ class LineGrid:
     def size(self) -> int:
         return len(self.points)
 
-    @property
+    @functools.cached_property
     def max_spacing(self) -> float:
         return float(np.max(np.diff(self.points)))
 
@@ -166,8 +169,9 @@ class GridFunction:
     """Complex-valued samples of a function at the points of a LineGrid.
 
     Frozen: ``values`` is a read-only complex copy of the samples given,
-    so the caller's array stays its own.  ``norm`` keeps the norm and
-    ``band_energy`` one energy per bandwidth on the function;
+    so the caller's array stays its own.  ``norm`` keeps the norm,
+    ``window_mass`` one mass per window and ``band_energy`` the panel
+    Gram of the samples and one energy per bandwidth on the function;
     ``dataclasses.replace`` gives a function with none kept.
     """
 
@@ -175,7 +179,11 @@ class GridFunction:
     values: np.ndarray
     # The L^2 norm, filled by norm
     _norm: float | None = field(default=None, init=False, repr=False)
-    # omega -> Re <S_omega u, u> for u = sqrt(w) f, filled by band_energy
+    # half-width -> mass of |f|^2 inside it, filled by window_mass
+    _window_masses: dict = field(default_factory=dict, init=False, repr=False)
+    # BandLimiter.gram of u = sqrt(w) f, filled by band_energy
+    _gram: np.ndarray | None = field(default=None, init=False, repr=False)
+    # omega -> Re <S_omega u, u>, filled by band_energy
     _band_energies: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
@@ -228,12 +236,29 @@ class GridFunction:
             raise ValueError(f"cannot normalize a function of norm {n:g} in floating point")
         return GridFunction(grid=self.grid, values=self.values / n)
 
+    def window_mass(self, half_width: float) -> float:
+        """Quadrature of |f|^2 over the nodes inside (-half_width, half_width), computed once per half-width.
+
+        Raises
+        ------
+        ValueError
+            A half-width that is not positive, on every call.
+        """
+        if not half_width > 0:
+            raise ValueError(f"half-width must be positive, got {half_width}")
+        mass = self._window_masses.get(half_width)
+        if mass is None:
+            mass = self._window_masses[half_width] = _window_sum(self.grid, self.values, half_width)
+        return mass
+
     def band_energy(self, omega: float) -> float:
         """Band energy Re <S_omega u, u> of u = sqrt(w) f, computed once per omega.
 
-        S_omega of the function's grid (``build_band_operator``, kept on the
-        grid) is applied by FFT on the first call at ``omega``; later calls
-        return the kept value.
+        The first call on the function keeps the panel Gram G of u
+        (``BandLimiter.gram``), and the first call at ``omega`` contracts it
+        with the block spectrum of S_omega (``build_band_operator``, kept on
+        the grid): one inner product by Parseval, with no inverse FFT.
+        Later calls at ``omega`` return the kept value.
 
         Raises
         ------
@@ -243,10 +268,19 @@ class GridFunction:
         """
         energy = self._band_energies.get(omega)
         if energy is None:
-            u = self.weighted()
-            energy = float(np.real(np.conj(u) @ build_band_operator(self.grid, omega).matvec(u)))
-            self._band_energies[omega] = energy
+            band = build_band_operator(self.grid, omega)
+            if self._gram is None:
+                u = self.weighted()
+                # The imaginary column of real samples would add only zeros to G.
+                object.__setattr__(self, "_gram", band.gram(u if u.imag.any() else u.real))
+            energy = self._band_energies[omega] = band.energy(self._gram)
         return energy
+
+
+def _window_sum(grid: LineGrid, values: np.ndarray, half_width: float) -> float:
+    """Sum of w |f|^2 over the grid nodes inside (-half_width, half_width)."""
+    inside = np.abs(grid.points) < half_width
+    return float(np.sum(grid.weights[inside] * np.abs(values[inside]) ** 2))
 
 
 def _panel_count(n: int) -> int:
@@ -350,7 +384,9 @@ class BandLimiter:
         Real FFT, along the offset axis, of the blocks B_d for panel
         offsets d = 1-m, ..., m-1 (B_(-d) the exact transpose of B_d)
         embedded in a circulant of period 2m; applies S by circular
-        convolution.  Read-only: the grid keeps the limiter and shares it.
+        convolution (``matvec``) and gives Re <S u, u> by Parseval
+        (``gram``, ``energy``).  Read-only: the grid keeps the limiter and
+        shares it.
     panel, slot : ndarray of int
         The grid's panel and slot of every node.
     """
@@ -359,10 +395,11 @@ class BandLimiter:
     panel: np.ndarray
     slot: np.ndarray
 
-    def matvec(self, u: np.ndarray) -> np.ndarray:
-        """S u for real or complex weighted samples u, in O(n log n) per column.
+    def panel_spectrum(self, u: np.ndarray) -> np.ndarray:
+        """Real FFT along the panels of u scattered onto the (panel, slot) array, shape (m + 1, p, columns).
 
-        ``u`` is one vector of shape (n,) or the columns of an (n, k) array.
+        ``u`` is one vector of shape (n,) or the columns of an (n, k) array;
+        complex samples give a real and an imaginary column for each.
         """
         u = np.asarray(u)
         if u.ndim not in (1, 2) or u.shape[0] != self.panel.size:
@@ -372,9 +409,40 @@ class BandLimiter:
         columns = np.stack(parts, axis=-1).reshape(self.panel.size, -1)
         x = np.zeros((m, p, columns.shape[1]))
         x[self.panel, self.slot] = columns
-        y = np.fft.irfft(self.spectrum @ np.fft.rfft(x, n=2 * m, axis=0), n=2 * m, axis=0)
-        y = y[self.panel, self.slot].reshape(*u.shape, len(parts))
-        return y[..., 0] + 1j * y[..., 1] if len(parts) == 2 else y[..., 0]
+        return np.fft.rfft(x, n=2 * m, axis=0)
+
+    def matvec(self, u: np.ndarray) -> np.ndarray:
+        """S u for real or complex weighted samples u, in O(n log n) per column.
+
+        ``u`` is one vector of shape (n,) or the columns of an (n, k) array.
+        """
+        u = np.asarray(u)
+        m = self.spectrum.shape[0] - 1
+        y = np.fft.irfft(self.spectrum @ self.panel_spectrum(u), n=2 * m, axis=0)
+        parts = 2 if np.iscomplexobj(u) else 1
+        y = y[self.panel, self.slot].reshape(*u.shape, parts)
+        return y[..., 0] + 1j * y[..., 1] if parts == 2 else y[..., 0]
+
+    def gram(self, u: np.ndarray) -> np.ndarray:
+        """Panel Gram G_k = c_k x_k x_k^H / 2m of the columns x = ``panel_spectrum(u)``, shape (m + 1, p, p).
+
+        c_k is 1 at k = 0 and k = m and 2 otherwise: frequency k stands for
+        itself and its conjugate 2m - k of the period-2m transform.  G does
+        not depend on omega, so one G serves every S_omega on the grid.
+        """
+        x = self.panel_spectrum(u)
+        m = x.shape[0] - 1
+        c = np.full(m + 1, 1.0 / m)
+        c[[0, m]] = 0.5 / m
+        return c[:, None, None] * (x @ x.conj().transpose(0, 2, 1))
+
+    def energy(self, gram: np.ndarray) -> float:
+        """Re <S u, u> from the panel Gram of u, by Parseval: Re sum_k tr(G_k^H S^_k).
+
+        Each block S^_k is Hermitian, since B_(-d) = B_d^T, so the sum is real
+        up to roundoff: one inner product of length (m + 1) p^2.
+        """
+        return float(np.vdot(gram, self.spectrum).real)
 
 
 def build_band_operator(grid: LineGrid, omega: float) -> BandLimiter:
@@ -388,10 +456,11 @@ def build_band_operator(grid: LineGrid, omega: float) -> BandLimiter:
     Raises
     ------
     ValueError
-        If omega <= 0, if the sampling adequacy condition
+        If omega <= 0 or if the sampling adequacy condition
         max_spacing * omega < 1 fails (the kernel oscillation would be
-        under-resolved), or if the 2m blocks of p x p kernel values
-        exceed the dense-matrix budget; on every call, kept S or not.
+        under-resolved), on every call, kept S or not; or, where S_omega
+        is not kept yet, if the 2m blocks of p x p kernel values exceed
+        the dense-matrix budget.
     """
     if not omega > 0:
         raise ValueError(f"omega must be positive, got {omega}")
@@ -401,13 +470,13 @@ def build_band_operator(grid: LineGrid, omega: float) -> BandLimiter:
             f"grid too coarse for omega={omega}: max spacing h={h:.4g} "
             f"gives h*omega={h * omega:.4g} >= 1"
         )
+    band = grid._bands.get(omega)
+    if band is not None:
+        return band
     m = len(grid.panel_orders)
     distinct = sorted(set(grid.panel_orders))
     p = sum(distinct)
     _require_dense_budget(2 * m * p, "kernel blocks of S", cols=p)
-    band = grid._bands.get(omega)
-    if band is not None:
-        return band
     rules = [gauss_legendre_rule(order) for order in distinct]
 
     half = grid.half_width / m

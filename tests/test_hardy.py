@@ -1,6 +1,7 @@
 """Tests for the tail bounds, quadratic form, concentration inequality
 and contradiction chains of the uncertainty-principle verifier."""
 
+import collections
 import dataclasses
 import math
 import tracemalloc
@@ -347,13 +348,10 @@ def test_kept_beta_equals_beta_of_a_fresh_function(unit_gauss):
     assert P.concentration_beta(fresh, 2.0) == kept
 
 
-def test_landau_pollak_grid_applies_each_band_once_per_function(gauss_grid, monkeypatch):
-    # beta depends on (f, Omega) only: a 5 x 5 grid of windows and bands
-    # over three functions applies S 15 times, not 75.
-    applied, matvec = [], P.BandLimiter.matvec
-    monkeypatch.setattr(P.BandLimiter, "matvec", lambda self, u: applied.append(1) or matvec(self, u))
+def check_landau_pollak_grid(grid):
+    """Landau-Pollak checks on a 5 x 5 grid of windows T and bands Omega over three functions."""
     fns = [
-        P.GridFunction.from_callable(gauss_grid, lambda x, s=s: np.exp(-((x - s) ** 2))).normalized()
+        P.GridFunction.from_callable(grid, lambda x, s=s: np.exp(-((x - s) ** 2))).normalized()
         for s in (0.0, 0.5, -1.0)
     ]
     sizes = (1.0, 2.0, 3.0, 4.0, 5.0)
@@ -361,7 +359,36 @@ def test_landau_pollak_grid_applies_each_band_once_per_function(gauss_grid, monk
     for f in fns:
         for (T, W), spec in specs.items():
             assert P.landau_pollak_check(f, T, W, spec).margin >= -1e-8
-    assert len(applied) == 15
+
+
+def test_landau_pollak_grid_applies_each_band_once_per_function(gauss_grid, monkeypatch):
+    # beta depends on (f, Omega) only: the 75 checks of a 5 x 5 grid over three
+    # functions take one panel transform per function and one contraction of its
+    # Gram per (f, Omega), 15 in all, and apply S to no vector.
+    calls = collections.Counter()
+    for name in ("panel_spectrum", "energy", "matvec"):
+        method = getattr(P.BandLimiter, name)
+        spy = lambda self, x, name=name, method=method: calls.update([name]) or method(self, x)
+        monkeypatch.setattr(P.BandLimiter, name, spy)
+    check_landau_pollak_grid(gauss_grid)
+    assert (calls["panel_spectrum"], calls["energy"], calls["matvec"]) == (3, 15, 0)
+
+
+def test_landau_pollak_grid_sums_each_window_once_per_function(gauss_grid, monkeypatch):
+    # alpha depends on (f, T) only: the 75 checks sum 15 window masses.
+    sums, window_sum = [], P.operators._window_sum
+    monkeypatch.setattr(P.operators, "_window_sum", lambda *args: sums.append(args[2]) or window_sum(*args))
+    check_landau_pollak_grid(gauss_grid)
+    assert sorted(sums) == sorted(3 * [0.5, 1.0, 1.5, 2.0, 2.5])
+
+
+def test_kept_alpha_equals_the_window_sum(unit_gauss):
+    # The kept mass is the sum over the window nodes that alpha always took.
+    fresh = P.GridFunction(grid=unit_gauss.grid, values=unit_gauss.values)
+    inside = np.abs(fresh.grid.points) < 1.5
+    mass = float(np.sum(fresh.grid.weights[inside] * np.abs(fresh.values[inside]) ** 2))
+    for _ in range(2):
+        assert P.concentration_alpha(fresh, 3.0) == math.sqrt(mass)
 
 
 # ---------------------------------------------------------------------------
@@ -514,6 +541,7 @@ NAN = float("nan")
     [
         pytest.param(lambda f: P.concentration_alpha(f, NAN), ValueError, "T_width must be positive", id="alpha"),
         pytest.param(lambda f: P.concentration_beta(f, NAN), ValueError, "omega must be positive", id="beta"),
+        pytest.param(lambda f: f.window_mass(NAN), ValueError, "half-width must be positive", id="window-mass"),
         pytest.param(
             lambda f: P.concentration_alpha(P.GridFunction(f.grid, f.values * NAN), 2.0),
             ValueError,

@@ -410,6 +410,33 @@ def test_band_energy_refuses_bad_bandwidth_on_every_call(gauss_grid, band_builds
     assert band_builds == [omega, omega]
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    L=st.floats(0.5, 40.0),
+    base=st.integers(1, 8),
+    bumps=st.lists(st.booleans(), min_size=1, max_size=60),
+    centre=st.sampled_from([0, 1, 2]),
+    fractions=st.lists(st.floats(0.01, 0.99), min_size=1, max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+    imaginary=st.booleans(),
+)
+@pytest.mark.parametrize("two_orders", [False, True], ids=["one-order", "two-orders"])
+def test_band_energy_matches_the_matvec_form(two_orders, L, base, bumps, centre, fractions, seed, imaginary):
+    # Re <S u, u> by Parseval on the kept panel Gram equals the form of S u by FFT, for
+    # complex and real samples on palindromic layouts of one or two orders (slots), odd n
+    # where a centre panel has odd order, and several bandwidths on one function.
+    half = [base + (two_orders and bump) for bump in bumps]
+    centre_panel = [[], [base], [base + two_orders]][centre]
+    grid = P.LineGrid(L, tuple(half + centre_panel + half[::-1]))
+    rng = np.random.default_rng(seed)
+    f = P.GridFunction(grid=grid, values=rng.standard_normal(grid.size) + 1j * imaginary * rng.standard_normal(grid.size))
+    u = f.weighted()
+    for fraction in fractions:
+        omega = fraction / grid.max_spacing
+        form = np.vdot(u, P.build_band_operator(grid, omega).matvec(u)).real
+        assert abs(f.band_energy(omega) - form) <= 1e-14 * np.vdot(u, u).real
+
+
 def test_band_operator_kept_on_its_grid(gauss_grid):
     grid = dataclasses.replace(gauss_grid)  # the same layout, nothing kept
     band = P.build_band_operator(grid, 2.0)
@@ -419,6 +446,9 @@ def test_band_operator_kept_on_its_grid(gauss_grid):
     assert P.build_band_operator(dataclasses.replace(grid), 2.0) is not band
     with pytest.raises(ValueError):
         band.spectrum[0, 0, 0] = 0.0
+    # The spacing that every call checks omega against is computed once, on the grid.
+    assert vars(grid)["max_spacing"] == float(np.max(np.diff(grid.points)))
+    assert "max_spacing" not in vars(dataclasses.replace(grid))
 
 
 def test_norm_computed_once_per_function(gauss_grid):
