@@ -112,8 +112,10 @@ class LineGrid:
 
     The grid keeps the band limiter S_omega of each bandwidth that
     ``build_band_operator`` has built on it, so every operator and function
-    on one grid shares one S_omega, and its ``max_spacing`` once read;
-    ``dataclasses.replace`` gives a grid with none kept.
+    on one grid shares one S_omega; its ``max_spacing`` once read; and
+    ``block_geometry``, the part of S's kernel blocks that no bandwidth
+    changes, once the first S_omega is built.  ``dataclasses.replace``
+    gives a grid with none kept.
 
     Raises
     ------
@@ -163,6 +165,31 @@ class LineGrid:
     def max_spacing(self) -> float:
         return float(np.max(np.diff(self.points)))
 
+    @functools.cached_property
+    def block_geometry(self) -> tuple[np.ndarray, np.ndarray]:
+        """The bandwidth-free part of the kernel blocks of S, computed on first read.
+
+        Returns the (p, p) products sqrt(w_s) sqrt(w_t) of the slot weights
+        and the (m, p, p) gaps x_s - x_t between slot s of a panel and slot t
+        of the panel d = 0, ..., m - 1 places to its left, for m panels of
+        p slots; both read-only.  Raises ValueError, on every read, where
+        the 2m blocks of S exceed the dense-matrix budget.
+        """
+        m = len(self.panel_orders)
+        distinct = sorted(set(self.panel_orders))
+        p = sum(distinct)
+        _require_dense_budget(2 * m * p, "kernel blocks of S", cols=p)
+        rules = [gauss_legendre_rule(order) for order in distinct]
+        half = self.half_width / m
+        offsets = half * np.concatenate([rule.nodes for rule in rules])
+        sq = np.sqrt(half * np.concatenate([rule.weights for rule in rules]))
+        # sq_s sq_t is one product for both (s, t) and (t, s), so B_0 is exactly symmetric.
+        roots = np.outer(sq, sq)
+        gap = 2.0 * half * np.arange(m)[:, None, None] + offsets[:, None] - offsets[None, :]
+        roots.flags.writeable = False
+        gap.flags.writeable = False
+        return roots, gap
+
 
 @dataclass(frozen=True, eq=False)
 class GridFunction:
@@ -170,16 +197,17 @@ class GridFunction:
 
     Frozen: ``values`` is a read-only complex copy of the samples given,
     so the caller's array stays its own.  ``norm`` keeps the norm,
-    ``window_mass`` one mass per window and ``band_energy`` the panel
-    Gram of the samples and one energy per bandwidth on the function;
-    ``dataclasses.replace`` gives a function with none kept.
+    ``window_mass`` and ``outside_mass`` the masses inside and outside
+    each window, and ``band_energy`` the panel Gram of the samples and
+    one energy per bandwidth on the function; ``dataclasses.replace``
+    gives a function with none kept.
     """
 
     grid: LineGrid
     values: np.ndarray
     # The L^2 norm, filled by norm
     _norm: float | None = field(default=None, init=False, repr=False)
-    # half-width -> mass of |f|^2 inside it, filled by window_mass
+    # half-width -> masses of |f|^2 inside it and outside it, filled by window_mass and outside_mass
     _window_masses: dict = field(default_factory=dict, init=False, repr=False)
     # BandLimiter.gram of u = sqrt(w) f, filled by band_energy
     _gram: np.ndarray | None = field(default=None, init=False, repr=False)
@@ -244,12 +272,28 @@ class GridFunction:
         ValueError
             A half-width that is not positive, on every call.
         """
+        return self._masses(half_width)[0]
+
+    def outside_mass(self, half_width: float) -> float:
+        """Quadrature of |f|^2 over the nodes outside (-half_width, half_width), kept with ``window_mass``.
+
+        Exactly 0 for a function whose samples vanish outside the window,
+        where ``norm() ** 2 - window_mass`` would be roundoff.
+
+        Raises
+        ------
+        ValueError
+            A half-width that is not positive, on every call.
+        """
+        return self._masses(half_width)[1]
+
+    def _masses(self, half_width: float) -> tuple[float, float]:
         if not half_width > 0:
             raise ValueError(f"half-width must be positive, got {half_width}")
-        mass = self._window_masses.get(half_width)
-        if mass is None:
-            mass = self._window_masses[half_width] = _window_sum(self.grid, self.values, half_width)
-        return mass
+        masses = self._window_masses.get(half_width)
+        if masses is None:
+            masses = self._window_masses[half_width] = _window_sum(self.grid, self.values, half_width)
+        return masses
 
     def band_energy(self, omega: float) -> float:
         """Band energy Re <S_omega u, u> of u = sqrt(w) f, computed once per omega.
@@ -277,10 +321,11 @@ class GridFunction:
         return energy
 
 
-def _window_sum(grid: LineGrid, values: np.ndarray, half_width: float) -> float:
-    """Sum of w |f|^2 over the grid nodes inside (-half_width, half_width)."""
+def _window_sum(grid: LineGrid, values: np.ndarray, half_width: float) -> tuple[float, float]:
+    """Sums of w |f|^2 over the grid nodes inside (-half_width, half_width) and over the others."""
     inside = np.abs(grid.points) < half_width
-    return float(np.sum(grid.weights[inside] * np.abs(values[inside]) ** 2))
+    mass = grid.weights * np.abs(values) ** 2
+    return float(np.sum(mass[inside])), float(np.sum(mass[~inside]))
 
 
 def _panel_count(n: int) -> int:
@@ -449,9 +494,11 @@ def build_band_operator(grid: LineGrid, omega: float) -> BandLimiter:
     """The band limiter S_omega on ``grid``, from one kernel block per panel offset.
 
     Evaluates m * p^2 kernel values for m panels of at most p slots,
-    instead of the n^2 of a dense assembly.  The first call at ``omega``
-    builds S_omega and keeps it on the grid; later calls return that
-    object, whose ``spectrum`` is read-only.
+    instead of the n^2 of a dense assembly.  The weights and gaps they
+    need are the grid's ``block_geometry``, computed once per grid, so a
+    bandwidth costs the kernel values and one real FFT.  The first call
+    at ``omega`` builds S_omega and keeps it on the grid; later calls
+    return that object, whose ``spectrum`` is read-only.
 
     Raises
     ------
@@ -473,20 +520,10 @@ def build_band_operator(grid: LineGrid, omega: float) -> BandLimiter:
     band = grid._bands.get(omega)
     if band is not None:
         return band
-    m = len(grid.panel_orders)
-    distinct = sorted(set(grid.panel_orders))
-    p = sum(distinct)
-    _require_dense_budget(2 * m * p, "kernel blocks of S", cols=p)
-    rules = [gauss_legendre_rule(order) for order in distinct]
-
-    half = grid.half_width / m
-    offsets = half * np.concatenate([rule.nodes for rule in rules])
-    sq = np.sqrt(half * np.concatenate([rule.weights for rule in rules]))
-    gap = 2.0 * half * np.arange(m)[:, None, None] + offsets[:, None] - offsets[None, :]
-    # sq_s sq_t is one product for both (s, t) and (t, s), so B_0 is exactly symmetric.
-    ahead = np.outer(sq, sq) * sinc_kernel(omega, gap, 0.0)  # B_0, ..., B_(m-1)
+    roots, gap = grid.block_geometry
+    ahead = roots * sinc_kernel(omega, gap, 0.0)  # B_0, ..., B_(m-1)
     behind = ahead[:0:-1].transpose(0, 2, 1)  # B_(1-m), ..., B_(-1)
-    circulant = np.concatenate([ahead, np.zeros((1, p, p)), behind])
+    circulant = np.concatenate([ahead, np.zeros((1,) + roots.shape), behind])
     spectrum = np.fft.rfft(circulant, axis=0)
     spectrum.flags.writeable = False
     band = grid._bands[omega] = BandLimiter(spectrum=spectrum, panel=grid.panel, slot=grid.slot)

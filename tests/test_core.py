@@ -476,6 +476,61 @@ def test_extension_matches_direct_kernel_near_nodes(c, n_modes):
         assert np.abs(P.pswf_extend(spec, n, xs) - direct).max() <= 1e-14 * scale
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    position=st.floats(0.0, 1.0),
+    extra_order=st.integers(0, 40),
+    kind=st.sampled_from(["beyond", "all-near", "node-hits", "spread"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_extension_matches_direct_kernel_on_any_points(position, extra_order, kind, seed):
+    # c from 0.01 to 100 (to 0.04 where every pair is near), on point sets with no near
+    # pair (all beyond |x| = 1 + 0.1/c), where every pair is near, on and next to every
+    # node, and spread over and around (-1, 1); relative to the summed magnitudes.
+    c = 0.01 + 0.03 * position if kind == "all-near" else 10.0 ** (4.0 * position - 2.0)
+    spec = P.prolate_spectrum(c, 4, order=P.min_quadrature_order(c) + extra_order)
+    nodes = spec.rule.nodes
+    rng = np.random.default_rng(seed)
+    reach = P.core._NEAR_PAIR / c  # a point within reach of every node has only near pairs
+    if kind == "beyond":
+        xs = rng.choice([-1.0, 1.0], 40) * (1.0 + reach) * (1.0 + rng.uniform(1e-12, 2.0, 40))
+    elif kind == "all-near":
+        xs = rng.uniform(-1.0, 1.0, 40) * (reach - 1.0) * (1.0 - 1e-9)
+    elif kind == "node-hits":
+        nudges = rng.choice([-1.0, 1.0], nodes.size) * 10.0 ** rng.uniform(-15.0, -2.0, nodes.size)
+        xs = np.concatenate([nodes, nodes + nudges])
+    else:
+        xs = rng.uniform(-3.0, 3.0, 200)
+    kern = P.sinc_kernel(c, xs[:, None], nodes[None, :])
+    for n in range(spec.n_modes):
+        terms = spec.rule.weights * spec.modes[n]
+        direct = kern @ terms / spec.eigenvalues[n]
+        scale = (np.abs(kern) @ np.abs(terms)).max() / spec.eigenvalues[n]
+        assert np.abs(P.pswf_extend(spec, n, xs) - direct).max() <= 1e-14 * scale
+
+
+def test_extension_takes_the_kernel_only_where_most_pairs_are_near(monkeypatch):
+    calls = []
+    kernel = P.core.sinc_kernel
+    monkeypatch.setattr(P.core, "sinc_kernel", lambda *args: calls.append(args[0]) or kernel(*args))
+
+    def extend(c, points, n_modes=1, order=None):
+        P.pswf_extend(P.prolate_spectrum(c, n_modes, order=order), 0, points)
+
+    extend(0.01, np.linspace(-1.5, 1.5, 2001))
+    assert calls == [0.01]
+    # The benchmark's extensions: the Landau-Pollak equality case (c = 2 on the 1200-node
+    # grid), the eigenfunction witness (c = 3, tau = 1 on the 600-node grid) and the
+    # prolate sweep (c in [4, 14], orders 49, 77 and 106, the nodes and 2001 points).
+    extend(2.0, P.build_line_grid(12.0, 1200).points)
+    extend(3.0, P.build_line_grid(30.0, 600).points, n_modes=6)
+    for c in (4.0, 9.0, 14.0):
+        for order in (49, 77, 106):
+            points = np.concatenate([P.gauss_legendre_rule(order).nodes, np.linspace(-5.0, 5.0, 2001)])
+            extend(c, points, n_modes=10, order=order)
+    assert calls == [0.01]
+
+
 @pytest.mark.parametrize(
     "x",
     [

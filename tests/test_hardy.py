@@ -418,6 +418,30 @@ def test_landau_pollak_near_equality_for_masked_mode(masked_top_mode, spec2):
     assert abs(rep.margin) < 1e-3
 
 
+@pytest.mark.parametrize("order", [32, 60, 100, 120, 150, 200])
+def test_landau_pollak_equality_margin_is_roundoff(gauss_grid, order):
+    # The top mode at c = 2 limited to its window: arccos(alpha) comes from the mass
+    # outside the window, exactly 0, so the margin no longer turns on the last bit of alpha.
+    spec = P.prolate_spectrum(2.0, 1, order=order)
+    values = np.where(np.abs(gauss_grid.points) < 1.0, P.pswf_extend(spec, 0, gauss_grid.points), 0.0)
+    f = P.GridFunction(grid=gauss_grid, values=values).normalized()
+    assert f.outside_mass(1.0) == 0.0
+    assert abs(P.landau_pollak_check(f, 2.0, 2.0, spec).margin) <= 1e-15
+
+
+def test_outside_mass_is_the_complement_sum_kept_with_the_window(unit_gauss, monkeypatch):
+    sums, window_sum = [], P.operators._window_sum
+    monkeypatch.setattr(P.operators, "_window_sum", lambda *args: sums.append(args[2]) or window_sum(*args))
+    f = P.GridFunction(grid=unit_gauss.grid, values=unit_gauss.values)
+    outside = np.abs(f.grid.points) >= 1.5
+    mass = float(np.sum(f.grid.weights[outside] * np.abs(f.values[outside]) ** 2))
+    for _ in range(2):
+        assert f.outside_mass(1.5) == mass
+        f.window_mass(1.5)
+    assert sums == [1.5]
+    assert f.outside_mass(1.5) + f.window_mass(1.5) == pytest.approx(f.norm() ** 2, rel=1e-15)
+
+
 def test_landau_pollak_holds_for_full_extension(gauss_grid, spec2):
     ext = P.pswf_extend(spec2, 0, gauss_grid.points)
     f = P.GridFunction(grid=gauss_grid, values=ext.astype(complex)).normalized()
@@ -542,6 +566,7 @@ NAN = float("nan")
         pytest.param(lambda f: P.concentration_alpha(f, NAN), ValueError, "T_width must be positive", id="alpha"),
         pytest.param(lambda f: P.concentration_beta(f, NAN), ValueError, "omega must be positive", id="beta"),
         pytest.param(lambda f: f.window_mass(NAN), ValueError, "half-width must be positive", id="window-mass"),
+        pytest.param(lambda f: f.outside_mass(NAN), ValueError, "half-width must be positive", id="outside-mass"),
         pytest.param(
             lambda f: P.concentration_alpha(P.GridFunction(f.grid, f.values * NAN), 2.0),
             ValueError,
