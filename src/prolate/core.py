@@ -187,12 +187,10 @@ def sinc_kernel(c: float, x, y):
     """
     if not c > 0 or not math.isfinite(c):
         raise ValueError(f"bandwidth parameter c must be positive and finite, got {c}")
-    t = np.asarray(c * (np.asarray(x, dtype=float) - np.asarray(y, dtype=float)))
+    t = c * (np.asarray(x, dtype=float) - np.asarray(y, dtype=float))
     on_diagonal = t == 0.0
-    t[on_diagonal] = 1.0
-    out = np.divide(np.sin(t), t, out=t)
-    out[on_diagonal] = 1.0
-    out *= c / np.pi
+    safe = np.where(on_diagonal, 1.0, t)
+    out = np.where(on_diagonal, 1.0, np.sin(safe) / safe) * (c / np.pi)
     return float(out) if out.ndim == 0 else out
 
 
@@ -397,24 +395,23 @@ def _sinc_product(c: float, x: np.ndarray, y: np.ndarray, terms: np.ndarray) -> 
     sin(d)/d (1 at d = 0) of the one computed d, so the numerator and the
     denominator see the same rounding.  Only the rows of x that have a near
     pair take part: C's buffer holds them as a block that is zero elsewhere,
-    and one product of that block adds them.  Where most pairs are near (c
-    below about 0.1 for points spread over (-1, 1)), the kernel itself is
-    cheaper and is taken instead.
+    and one product of that block adds them.
     """
     u, v = c * x, c * y
     # For point i the near nodes are lo[i], ..., lo[i] + counts[i] - 1.
     lo = np.searchsorted(v, u - _NEAR_PAIR, side="right")
     counts = np.searchsorted(v, u + _NEAR_PAIR, side="left") - lo
     total = int(counts.sum())
-    if 2 * total > u.size * v.size:
-        return sinc_kernel(c, x[:, None], y[None, :]) @ terms
     scaled = terms * (c / np.pi)
     hit = np.flatnonzero(counts)  # the rows with a near pair
     per_row = counts[hit]
     # Flat index of each near pair in the block of the hit rows, then in C.
     in_block = np.repeat(np.arange(hit.size) * v.size + lo[hit] - (np.cumsum(per_row) - per_row), per_row)
     in_block += np.arange(total)
-    in_cauchy = in_block + np.repeat((hit - np.arange(hit.size)) * v.size, per_row)
+    if hit.size == u.size:  # every row has one (small c): the block is all of C
+        in_cauchy = in_block
+    else:
+        in_cauchy = in_block + np.repeat((hit - np.arange(hit.size)) * v.size, per_row)
     cauchy = np.subtract.outer(u, v)
     flat = cauchy.reshape(-1)
     near = flat[in_cauchy]
@@ -435,7 +432,9 @@ def _sinc_product(c: float, x: np.ndarray, y: np.ndarray, terms: np.ndarray) -> 
     block.fill(0.0)
     sinc = np.sin(near, out=np.ones_like(near), where=near != 0.0)
     block[in_block] = np.divide(sinc, near, out=sinc, where=near != 0.0)
-    out[:, hit] += (block.reshape(hit.size, v.size) @ scaled).T
+    # Sorted points put their hit rows in one run (at small c all of them): added through a view.
+    rows = slice(hit[0], hit[-1] + 1) if hit.size and hit[-1] - hit[0] == hit.size - 1 else hit
+    out[:, rows] += (block.reshape(hit.size, v.size) @ scaled).T
     return out.T
 
 
@@ -461,9 +460,9 @@ def pswf_extend(spec: ProlateSpectrum, n: int, x):
     Node pairs with |u - v| < 0.1, exact node hits included, are added
     directly as sin(u - v)/(u - v), by one product over only the points
     that have such a pair: about order/(15 c) + 1 pairs per point inside
-    (-1, 1), none beyond |x| = 1 + 0.1/c.  Where most pairs are near (c
-    below about 0.1 for points dense in (-1, 1)), the call forms the
-    kernel instead.  The values agree with the direct kernel product to
+    (-1, 1), none beyond |x| = 1 + 0.1/c.  Below c of about 0.5 most pairs
+    of points dense in (-1, 1) are near, and the call costs up to about
+    twice the kernel's.  The values agree with the direct kernel product to
     1e-14 of the summed magnitudes for c from 0.01 to 100.  Far from
     (-1, 1) the extension itself has condition number about c |x| eps in
     x, for any evaluation.

@@ -228,7 +228,14 @@ def concentration_beta(f: GridFunction, Omega: float) -> float:
 
 @dataclass(frozen=True)
 class LandauPollakReport:
-    """One evaluation of the Landau-Pollak concentration inequality."""
+    """One evaluation of the Landau-Pollak concentration inequality.
+
+    ``lhs`` is arcsin sqrt(m) + arccos(beta), with m the mass of |f|^2
+    outside the window: arccos(alpha) with 1 - alpha^2 taken as m.  Like
+    alpha = sqrt(window mass) and beta, m is not divided by ||f||^2, so
+    acos(alpha) + acos(beta) equals ``lhs`` to roundoff where ||f|| = 1
+    and within the 1e-8 unit-norm slack otherwise.
+    """
 
     alpha: float
     beta: float
@@ -250,16 +257,16 @@ def landau_pollak_check(
     side.  The margin is nonnegative up to numerical slack, and zero
     exactly at the concentration extremizers.
 
-    arccos(alpha) is taken as arcsin sqrt(m / ||f||^2) from the mass m of
-    |f|^2 outside |t| < T/2 (``f.outside_mass``), which is 1 - alpha^2
-    without its cancellation: arccos near 1 would turn one ulp of alpha
-    into 1.5e-8, and a function supported on the window gets exactly 0.
-    The reported ``alpha`` is still ``concentration_alpha``.
+    arccos(alpha) is taken as arcsin sqrt(m) from the mass m of |f|^2
+    outside |t| < T/2 (``f.outside_mass``), which is 1 - alpha^2 for
+    unit-norm f without its cancellation: arccos near 1 would turn one ulp
+    of alpha into 1.5e-8, and a function supported on the window gets
+    exactly 0.  The reported ``alpha`` is still ``concentration_alpha``.
     """
     _require_spectrum_at(spec, 0.5 * Omega * T_width, "the inequality at Omega*T/2")
     alpha = concentration_alpha(f, T_width)
     beta = concentration_beta(f, Omega)
-    outside = f.outside_mass(T_width / 2.0) / f.norm() ** 2
+    outside = f.outside_mass(T_width / 2.0)
     lhs = math.asin(math.sqrt(min(outside, 1.0))) + math.acos(min(beta, 1.0))
     rhs = math.acos(min(math.sqrt(spec.eigenvalues[0]), 1.0))
     return LandauPollakReport(

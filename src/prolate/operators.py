@@ -112,10 +112,8 @@ class LineGrid:
 
     The grid keeps the band limiter S_omega of each bandwidth that
     ``build_band_operator`` has built on it, so every operator and function
-    on one grid shares one S_omega; its ``max_spacing`` once read; and
-    ``block_geometry``, the part of S's kernel blocks that no bandwidth
-    changes, once the first S_omega is built.  ``dataclasses.replace``
-    gives a grid with none kept.
+    on one grid shares one S_omega, and its ``max_spacing`` once read;
+    ``dataclasses.replace`` gives a grid with none kept.
 
     Raises
     ------
@@ -164,31 +162,6 @@ class LineGrid:
     @functools.cached_property
     def max_spacing(self) -> float:
         return float(np.max(np.diff(self.points)))
-
-    @functools.cached_property
-    def block_geometry(self) -> tuple[np.ndarray, np.ndarray]:
-        """The bandwidth-free part of the kernel blocks of S, computed on first read.
-
-        Returns the (p, p) products sqrt(w_s) sqrt(w_t) of the slot weights
-        and the (m, p, p) gaps x_s - x_t between slot s of a panel and slot t
-        of the panel d = 0, ..., m - 1 places to its left, for m panels of
-        p slots; both read-only.  Raises ValueError, on every read, where
-        the 2m blocks of S exceed the dense-matrix budget.
-        """
-        m = len(self.panel_orders)
-        distinct = sorted(set(self.panel_orders))
-        p = sum(distinct)
-        _require_dense_budget(2 * m * p, "kernel blocks of S", cols=p)
-        rules = [gauss_legendre_rule(order) for order in distinct]
-        half = self.half_width / m
-        offsets = half * np.concatenate([rule.nodes for rule in rules])
-        sq = np.sqrt(half * np.concatenate([rule.weights for rule in rules]))
-        # sq_s sq_t is one product for both (s, t) and (t, s), so B_0 is exactly symmetric.
-        roots = np.outer(sq, sq)
-        gap = 2.0 * half * np.arange(m)[:, None, None] + offsets[:, None] - offsets[None, :]
-        roots.flags.writeable = False
-        gap.flags.writeable = False
-        return roots, gap
 
 
 @dataclass(frozen=True, eq=False)
@@ -494,11 +467,9 @@ def build_band_operator(grid: LineGrid, omega: float) -> BandLimiter:
     """The band limiter S_omega on ``grid``, from one kernel block per panel offset.
 
     Evaluates m * p^2 kernel values for m panels of at most p slots,
-    instead of the n^2 of a dense assembly.  The weights and gaps they
-    need are the grid's ``block_geometry``, computed once per grid, so a
-    bandwidth costs the kernel values and one real FFT.  The first call
-    at ``omega`` builds S_omega and keeps it on the grid; later calls
-    return that object, whose ``spectrum`` is read-only.
+    instead of the n^2 of a dense assembly.  The first call at ``omega``
+    builds S_omega and keeps it on the grid; later calls return that
+    object, whose ``spectrum`` is read-only.
 
     Raises
     ------
@@ -520,10 +491,20 @@ def build_band_operator(grid: LineGrid, omega: float) -> BandLimiter:
     band = grid._bands.get(omega)
     if band is not None:
         return band
-    roots, gap = grid.block_geometry
-    ahead = roots * sinc_kernel(omega, gap, 0.0)  # B_0, ..., B_(m-1)
+    m = len(grid.panel_orders)
+    distinct = sorted(set(grid.panel_orders))
+    p = sum(distinct)
+    _require_dense_budget(2 * m * p, "kernel blocks of S", cols=p)
+    rules = [gauss_legendre_rule(order) for order in distinct]
+
+    half = grid.half_width / m
+    offsets = half * np.concatenate([rule.nodes for rule in rules])
+    sq = np.sqrt(half * np.concatenate([rule.weights for rule in rules]))
+    gap = 2.0 * half * np.arange(m)[:, None, None] + offsets[:, None] - offsets[None, :]
+    # sq_s sq_t is one product for both (s, t) and (t, s), so B_0 is exactly symmetric.
+    ahead = np.outer(sq, sq) * sinc_kernel(omega, gap, 0.0)  # B_0, ..., B_(m-1)
     behind = ahead[:0:-1].transpose(0, 2, 1)  # B_(1-m), ..., B_(-1)
-    circulant = np.concatenate([ahead, np.zeros((1,) + roots.shape), behind])
+    circulant = np.concatenate([ahead, np.zeros((1, p, p)), behind])
     spectrum = np.fft.rfft(circulant, axis=0)
     spectrum.flags.writeable = False
     band = grid._bands[omega] = BandLimiter(spectrum=spectrum, panel=grid.panel, slot=grid.slot)

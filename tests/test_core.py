@@ -509,28 +509,6 @@ def test_extension_matches_direct_kernel_on_any_points(position, extra_order, ki
         assert np.abs(P.pswf_extend(spec, n, xs) - direct).max() <= 1e-14 * scale
 
 
-def test_extension_takes_the_kernel_only_where_most_pairs_are_near(monkeypatch):
-    calls = []
-    kernel = P.core.sinc_kernel
-    monkeypatch.setattr(P.core, "sinc_kernel", lambda *args: calls.append(args[0]) or kernel(*args))
-
-    def extend(c, points, n_modes=1, order=None):
-        P.pswf_extend(P.prolate_spectrum(c, n_modes, order=order), 0, points)
-
-    extend(0.01, np.linspace(-1.5, 1.5, 2001))
-    assert calls == [0.01]
-    # The benchmark's extensions: the Landau-Pollak equality case (c = 2 on the 1200-node
-    # grid), the eigenfunction witness (c = 3, tau = 1 on the 600-node grid) and the
-    # prolate sweep (c in [4, 14], orders 49, 77 and 106, the nodes and 2001 points).
-    extend(2.0, P.build_line_grid(12.0, 1200).points)
-    extend(3.0, P.build_line_grid(30.0, 600).points, n_modes=6)
-    for c in (4.0, 9.0, 14.0):
-        for order in (49, 77, 106):
-            points = np.concatenate([P.gauss_legendre_rule(order).nodes, np.linspace(-5.0, 5.0, 2001)])
-            extend(c, points, n_modes=10, order=order)
-    assert calls == [0.01]
-
-
 @pytest.mark.parametrize(
     "x",
     [

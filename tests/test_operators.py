@@ -451,46 +451,6 @@ def test_band_operator_kept_on_its_grid(gauss_grid):
     assert "max_spacing" not in vars(dataclasses.replace(grid))
 
 
-def assembled_band_spectrum(grid, omega):
-    """S_omega's block spectrum assembled from the panel layout alone, nothing taken from the grid."""
-    m = len(grid.panel_orders)
-    distinct = sorted(set(grid.panel_orders))
-    p = sum(distinct)
-    rules = [gauss_legendre_rule(order) for order in distinct]
-    half = grid.half_width / m
-    offsets = half * np.concatenate([rule.nodes for rule in rules])
-    sq = np.sqrt(half * np.concatenate([rule.weights for rule in rules]))
-    gap = 2.0 * half * np.arange(m)[:, None, None] + offsets[:, None] - offsets[None, :]
-    ahead = np.outer(sq, sq) * P.sinc_kernel(omega, gap, 0.0)
-    behind = ahead[:0:-1].transpose(0, 2, 1)
-    return np.fft.rfft(np.concatenate([ahead, np.zeros((1, p, p)), behind]), axis=0)
-
-
-@pytest.mark.parametrize(
-    "orders",
-    [(5,) * 12, (5, 6, 6, 6, 6, 5), (6, 5, 7, 5, 6), (7,)],
-    ids=["one-order", "two-orders", "odd", "one-panel"],
-)
-def test_band_spectrum_from_kept_geometry_is_the_assembly(orders):
-    grid = P.LineGrid(6.0, orders)
-    for fraction in (0.1, 0.3, 0.5, 0.7, 0.9, 0.95, 0.99):
-        omega = fraction / grid.max_spacing
-        assert np.array_equal(P.build_band_operator(grid, omega).spectrum, assembled_band_spectrum(grid, omega))
-
-
-def test_band_geometry_computed_once_per_grid(gauss_grid, monkeypatch):
-    grid = dataclasses.replace(gauss_grid)  # the same layout, nothing kept
-    reads = []
-    geometry = P.LineGrid.block_geometry.func
-    monkeypatch.setattr(P.LineGrid.block_geometry, "func", lambda self: reads.append(self) or geometry(self))
-    for omega in (1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0):
-        P.build_band_operator(grid, omega)
-    assert len(reads) == 1 and reads[0] is grid
-    roots, gap = grid.block_geometry
-    assert not roots.flags.writeable and not gap.flags.writeable
-    assert "block_geometry" not in vars(dataclasses.replace(grid))
-
-
 def test_norm_computed_once_per_function(gauss_grid):
     f = P.GridFunction.from_callable(gauss_grid, lambda x: np.exp(-(x**2)))
     norm = f.norm()
