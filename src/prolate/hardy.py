@@ -344,9 +344,10 @@ def alt_proof_chain(omega: float, M: float, spec: ProlateSpectrum) -> AltProofRe
     if not M > 0:
         raise ValueError(f"M must be positive, got {M}")
     _require_spectrum_at(spec, omega * omega, "the chain at omega^2")
-    # alpha of the normalized Gaussian over (-omega, omega), exactly.
-    alpha_sq = math.erf(math.sqrt(2.0) * omega)
-    acos_alpha = math.acos(math.sqrt(alpha_sq))
+    # arccos alpha of the normalized Gaussian over (-omega, omega), exactly, as
+    # arcsin sqrt(1 - alpha^2) with 1 - alpha^2 = erfc(sqrt(2) omega): the outside
+    # mass keeps its digits where alpha^2 = erf(sqrt(2) omega) rounds toward 1.
+    acos_alpha = math.asin(math.sqrt(math.erfc(math.sqrt(2.0) * omega)))
     m_eff = M / (math.pi / 2.0) ** 0.25
     acos_alpha_bound = 2.0 * m_eff / math.sqrt(omega) * math.exp(-(omega**2))
 

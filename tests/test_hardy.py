@@ -532,6 +532,18 @@ def test_alt_chain_concentration_link_holds(omega):
     assert 0.0 < rep.acos_alpha <= rep.acos_alpha_bound
 
 
+# arcsin sqrt(erfc(sqrt(2) omega)) in mpmath 1.3 at mp.dps = 40.
+ACOS_ALPHA_REFERENCE = {3.0: 4.44204377665642e-05, 3.5: 1.5998828356394896e-06, 4.0: 3.52731075304453e-08}
+
+
+@pytest.mark.parametrize("omega", sorted(ACOS_ALPHA_REFERENCE))
+def test_alt_chain_acos_alpha_from_the_outside_mass(omega):
+    # arccos sqrt(erf(sqrt(2) omega)) cancels: it is off by 2.8e-8 relative at
+    # omega = 3, 2.1e-5 at 3.5 and 3.5e-2 at 4.
+    rep = P.alt_proof_chain(omega, 1.0, P.prolate_spectrum(omega * omega, 1))
+    assert abs(rep.acos_alpha / ACOS_ALPHA_REFERENCE[omega] - 1.0) <= 1e-14
+
+
 def test_alt_chain_gap_asymptotic_link(spec2):
     # arccos(sqrt(lambda_0(omega^2))) vs 2 pi^{1/4} sqrt(omega)
     # e^{-omega^2}: the O(1/c) correction leaves ~7% at omega = 2 and
