@@ -148,8 +148,9 @@ def cmd_hardy(args) -> tuple[list[str], list[list], str]:
         c = omega * omega
         spec = prolate_spectrum(c, 1)
         alt = alt_proof_chain(omega, args.M, spec)  # refuses a roundoff lambda_0 before the grid
-        half_width = max(5.0 * tau, 5.0) + 10.0 / omega
-        grid = build_line_grid(half_width, max(600, int(30.0 * half_width)))
+        # 2qs panels of order 5, omega / s wide, put +/- omega on panel edges.
+        q, s = math.ceil((max(5.0 * tau, 5.0) + 10.0 / omega) / omega), math.ceil(4.0 * omega)
+        grid = build_line_grid(q * omega, 10 * q * s)
         gauss = GridFunction.from_callable(grid, lambda x: np.exp(-(x**2))).normalized()
         lp = landau_pollak_check(gauss, 2.0 * omega, omega, spec)
 

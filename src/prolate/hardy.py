@@ -121,16 +121,14 @@ def quadratic_form(f: GridFunction, ops: LimitingOperators) -> QuadraticFormValu
     """Evaluate <(2I - chi - S) f, f> in the weighted inner product.
 
     Splits into ||(I - chi) f||^2 (time leakage) plus Re<(I - S) f, f>
-    (band leakage); both parts are reported for diagnostics.  The band
-    part reads Re<S f, f> from ``f.band_energy(ops.omega)``, computed once
-    per bandwidth and shared with ``concentration_beta``.
+    (band leakage); both parts are reported for diagnostics, and both read
+    what f keeps: the mass outside the window, ``f.outside_mass(ops.tau)``,
+    and Re<S f, f>, ``f.band_energy(ops.omega)``, shared with ``concentration_beta``.
     """
     if f.grid is not ops.grid and not np.array_equal(f.grid.points, ops.grid.points):
         raise ValueError("grid mismatch between function and operators")
-    u = f.weighted()
-    nrm2 = float(np.real(np.conj(u) @ u))
-    time_part = nrm2 - float(np.real(np.conj(u) @ (ops.chi * u)))
-    band_part = nrm2 - f.band_energy(ops.omega)
+    time_part = f.outside_mass(ops.tau)
+    band_part = f.norm() ** 2 - f.band_energy(ops.omega)
     return QuadraticFormValue(
         value=time_part + band_part, time_part=time_part, band_part=band_part
     )

@@ -109,6 +109,8 @@ class LineGrid:
         Positive quadrature weights summing to 2 * half_width.
     panel, slot : ndarray of int
         Panel and slot of every node.
+    slot_nodes, slot_weights : ndarray
+        Gauss-Legendre rule on (-1, 1) of every slot: each distinct order's in turn.
 
     The grid keeps the band limiter S_omega of each bandwidth that
     ``build_band_operator`` has built on it, so every operator and function
@@ -128,6 +130,8 @@ class LineGrid:
     weights: np.ndarray = field(init=False)
     panel: np.ndarray = field(init=False, repr=False)
     slot: np.ndarray = field(init=False, repr=False)
+    slot_nodes: np.ndarray = field(init=False, repr=False)
+    slot_weights: np.ndarray = field(init=False, repr=False)
     # omega -> the BandLimiter S_omega on this grid, filled by build_band_operator
     _bands: dict = field(default_factory=dict, init=False, repr=False)
 
@@ -148,10 +152,10 @@ class LineGrid:
         slot = np.arange(panel.size) - (starts - first)[panel]
         edges = np.linspace(-L, L, counts.size + 1)
         mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
-        nodes = np.concatenate([rule.nodes for rule in rules])
-        weights = np.concatenate([rule.weights for rule in rules])
-        object.__setattr__(self, "points", mid[panel] + half[panel] * nodes[slot])
-        object.__setattr__(self, "weights", half[panel] * weights[slot])
+        object.__setattr__(self, "slot_nodes", np.concatenate([rule.nodes for rule in rules]))
+        object.__setattr__(self, "slot_weights", np.concatenate([rule.weights for rule in rules]))
+        object.__setattr__(self, "points", mid[panel] + half[panel] * self.slot_nodes[slot])
+        object.__setattr__(self, "weights", half[panel] * self.slot_weights[slot])
         object.__setattr__(self, "panel", panel)
         object.__setattr__(self, "slot", slot)
 
@@ -423,10 +427,10 @@ class BandLimiter:
         if u.ndim not in (1, 2) or u.shape[0] != self.panel.size:
             raise ValueError(f"vector shape {u.shape} does not match grid size {self.panel.size}")
         m, p = self.spectrum.shape[0] - 1, self.spectrum.shape[1]
-        parts = (u.real, u.imag) if np.iscomplexobj(u) else (u,)
-        columns = np.stack(parts, axis=-1).reshape(self.panel.size, -1)
-        x = np.zeros((m, p, columns.shape[1]))
-        x[self.panel, self.slot] = columns
+        if np.iscomplexobj(u):  # a contiguous complex array interleaves the two columns
+            u = np.ascontiguousarray(u, dtype=complex).view(float)
+        x = np.zeros((m, p, u.size // self.panel.size))
+        x[self.panel, self.slot] = u.reshape(self.panel.size, -1)
         return np.fft.rfft(x, n=2 * m, axis=0)
 
     def matvec(self, u: np.ndarray) -> np.ndarray:
@@ -436,10 +440,8 @@ class BandLimiter:
         """
         u = np.asarray(u)
         m = self.spectrum.shape[0] - 1
-        y = np.fft.irfft(self.spectrum @ self.panel_spectrum(u), n=2 * m, axis=0)
-        parts = 2 if np.iscomplexobj(u) else 1
-        y = y[self.panel, self.slot].reshape(*u.shape, parts)
-        return y[..., 0] + 1j * y[..., 1] if parts == 2 else y[..., 0]
+        y = np.fft.irfft(self.spectrum @ self.panel_spectrum(u), n=2 * m, axis=0)[self.panel, self.slot]
+        return (y.view(complex) if np.iscomplexobj(u) else y).reshape(u.shape)
 
     def gram(self, u: np.ndarray) -> np.ndarray:
         """Panel Gram G_k = c_k x_k x_k^H / 2m of the columns x = ``panel_spectrum(u)``, shape (m + 1, p, p).
@@ -491,15 +493,11 @@ def build_band_operator(grid: LineGrid, omega: float) -> BandLimiter:
     band = grid._bands.get(omega)
     if band is not None:
         return band
-    m = len(grid.panel_orders)
-    distinct = sorted(set(grid.panel_orders))
-    p = sum(distinct)
+    m, p = len(grid.panel_orders), grid.slot_nodes.size
     _require_dense_budget(2 * m * p, "kernel blocks of S", cols=p)
-    rules = [gauss_legendre_rule(order) for order in distinct]
-
     half = grid.half_width / m
-    offsets = half * np.concatenate([rule.nodes for rule in rules])
-    sq = np.sqrt(half * np.concatenate([rule.weights for rule in rules]))
+    offsets = half * grid.slot_nodes
+    sq = np.sqrt(half * grid.slot_weights)
     gap = 2.0 * half * np.arange(m)[:, None, None] + offsets[:, None] - offsets[None, :]
     # sq_s sq_t is one product for both (s, t) and (t, s), so B_0 is exactly symmetric.
     ahead = np.outer(sq, sq) * sinc_kernel(omega, gap, 0.0)  # B_0, ..., B_(m-1)

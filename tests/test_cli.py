@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from prolate.cli import main
-from prolate.core import GAP_FLOOR
+from prolate.core import GAP_FLOOR, prolate_spectrum
 
 ALL_DEFAULT_INVOCATIONS = [
     ["spectrum"],
@@ -175,6 +175,25 @@ def test_hardy_table_invariants(capsys):
         assert r[idx["time_tail_bound"]] == pytest.approx(
             r[idx["freq_tail_bound"]], rel=1e-14
         )  # symmetric point tau = omega, a = b
+
+
+def test_hardy_lp_margin_matches_its_closed_form(capsys):
+    # The grid puts +/- omega on panel edges, so the printed margin of the normalized
+    # Gaussian meets asin sqrt erfc(sqrt(2) omega) + asin sqrt erfc(omega / sqrt(2))
+    # - acos sqrt lambda_0(omega^2), lambda_0 as the library computes it.
+    omegas = [1.5, 1.55, 2.0, 2.5, 3.0, 3.5, 4.0]
+    code, out, _ = run_cli(["hardy", "--omega", ",".join(map(str, omegas))], capsys)
+    assert code == 0
+    lines = out.strip().split("\n")
+    column = lines[0].split(",").index("lp_margin")
+    for omega, line in zip(omegas, lines[1:], strict=True):
+        lam0 = prolate_spectrum(omega * omega, 1).eigenvalues[0]
+        exact = (
+            math.asin(math.sqrt(math.erfc(math.sqrt(2.0) * omega)))
+            + math.asin(math.sqrt(math.erfc(omega / math.sqrt(2.0))))
+            - math.acos(math.sqrt(lam0))
+        )
+        assert float(line.split(",")[column]) == pytest.approx(exact, rel=1e-10, abs=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -174,6 +174,14 @@ def test_quadratic_form_saturates_on_masked_top_mode(ops600, spec3):
     assert q.value == pytest.approx(1.0 - spec3.eigenvalues[0], rel=1e-6)
 
 
+@pytest.mark.parametrize("omega", [3.0, 3.5])
+def test_quadratic_form_time_part_is_the_outside_mass(unit_gauss, omega):
+    # ||(I - chi) f||^2 of the unit Gaussian is erfc(sqrt(2) omega): summed outside the
+    # window rather than taken as ||f||^2 minus the window mass, it keeps its digits.
+    q = P.quadratic_form(unit_gauss, P.build_limiting_operators(unit_gauss.grid, omega, omega))
+    assert q.time_part == pytest.approx(math.erfc(math.sqrt(2.0) * omega), rel=1e-11, abs=0.0)
+
+
 def test_quadratic_form_rejects_grid_mismatch(ops600, gauss_grid):
     f = P.GridFunction.from_callable(gauss_grid, lambda x: np.exp(-(x**2)))
     with pytest.raises(ValueError, match="grid"):
@@ -359,6 +367,7 @@ def check_landau_pollak_grid(grid):
     for f in fns:
         for (T, W), spec in specs.items():
             assert P.landau_pollak_check(f, T, W, spec).margin >= -1e-8
+    return fns
 
 
 def test_landau_pollak_grid_applies_each_band_once_per_function(gauss_grid, monkeypatch):
@@ -370,8 +379,17 @@ def test_landau_pollak_grid_applies_each_band_once_per_function(gauss_grid, monk
         method = getattr(P.BandLimiter, name)
         spy = lambda self, x, name=name, method=method: calls.update([name]) or method(self, x)
         monkeypatch.setattr(P.BandLimiter, name, spy)
-    check_landau_pollak_grid(gauss_grid)
+    fns = check_landau_pollak_grid(gauss_grid)
     assert (calls["panel_spectrum"], calls["energy"], calls["matvec"]) == (3, 15, 0)
+    # The quadratic forms at the same windows and bands read the kept energies and
+    # masses: no S applied, no Gram contracted, no window summed.
+    sums, window_sum = [], P.operators._window_sum
+    monkeypatch.setattr(P.operators, "_window_sum", lambda *args: sums.append(args[2]) or window_sum(*args))
+    for f in fns:
+        for tau in (0.5, 1.0, 1.5, 2.0, 2.5):
+            for omega in (1.0, 2.0, 3.0, 4.0, 5.0):
+                P.quadratic_form(f, P.build_limiting_operators(gauss_grid, tau, omega))
+    assert (calls["panel_spectrum"], calls["energy"], calls["matvec"], len(sums)) == (3, 15, 0, 0)
 
 
 def test_landau_pollak_grid_sums_each_window_once_per_function(gauss_grid, monkeypatch):

@@ -285,6 +285,36 @@ def test_band_matvec_commutes_with_the_mirror(L, n, omega):
     assert np.abs(band.matvec(u[::-1]) - band.matvec(u)[::-1]).max() <= 4e-15 * np.abs(u).max()
 
 
+def test_band_operator_reads_the_grid_slot_rule():
+    # On a three-order layout the grid's slots are the Gauss-Legendre rules of the
+    # distinct orders, increasing, and S_omega's blocks are built from exactly those.
+    grid = P.LineGrid(3.0, (6, 4, 5, 4, 6))
+    rules = [gauss_legendre_rule(order) for order in (4, 5, 6)]
+    nodes = np.concatenate([rule.nodes for rule in rules])
+    weights = np.concatenate([rule.weights for rule in rules])
+    assert np.array_equal(grid.slot_nodes, nodes) and np.array_equal(grid.slot_weights, weights)
+    m, p, half, omega = 5, nodes.size, 3.0 / 5, 1.5
+    offsets, sq = half * nodes, np.sqrt(half * weights)
+    gap = 2.0 * half * np.arange(m)[:, None, None] + offsets[:, None] - offsets[None, :]
+    ahead = np.outer(sq, sq) * P.sinc_kernel(omega, gap, 0.0)
+    circulant = np.concatenate([ahead, np.zeros((1, p, p)), ahead[:0:-1].transpose(0, 2, 1)])
+    assert np.array_equal(P.build_band_operator(grid, omega).spectrum, np.fft.rfft(circulant, axis=0))
+
+
+def test_band_limiter_reads_non_contiguous_complex_samples():
+    # Complex samples are read as interleaved real columns of a contiguous array:
+    # a reversed view and column slices give the contiguous copy's values bit for bit.
+    grid = P.build_line_grid(12.5, 601)
+    band = P.build_band_operator(grid, 2.0)
+    rng = np.random.default_rng(601)
+    z = rng.standard_normal((601, 6)) + 1j * rng.standard_normal((601, 6))
+    for view in (z[::-1, 0], z[:, 1::2], z[::-1, ::3]):
+        copy = np.ascontiguousarray(view)
+        assert not view.flags.c_contiguous
+        assert np.array_equal(band.matvec(view), band.matvec(copy))
+        assert band.energy(band.gram(view)) == band.energy(band.gram(copy))
+
+
 def test_band_operator_needs_panel_layout():
     grid = P.build_line_grid(2.0, 7)
     band = P.build_band_operator(grid, 1.0)
